@@ -155,8 +155,8 @@ func (c *ObjectiveCache) refresh(a *assign.Assignment, s model.SessionID) {
 }
 
 // Prime installs a freshly evaluated objective and load for session s and
-// marks it clean, without touching the assignment. The pipelined
-// orchestrator's commit path feeds it from the committing worker's own
+// marks it clean, without touching the assignment. The orchestrator's
+// sharded commit path feeds it from the committing worker's own
 // BeginSession evaluation, so objective queries never recompute an
 // in-flight session from the shared assignment. phi and load must describe
 // s's committed state (they are bit-identical to what a refresh would

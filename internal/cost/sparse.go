@@ -199,7 +199,7 @@ func NewSparseLoadFromDense(d *SessionLoad) *SparseLoad {
 
 // AppendAgents appends the IDs of agents carrying load (MarkAgents'
 // predicate) to dst in ascending order and returns it — the committed
-// agent-set extraction the pipelined orchestrator's footprint index uses.
+// agent-set extraction behind the orchestrator's committed-agents index.
 func (sl *SparseLoad) AppendAgents(dst []model.AgentID) []model.AgentID {
 	sl.sortTouched()
 	for _, l := range sl.touched {

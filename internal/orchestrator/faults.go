@@ -1,8 +1,8 @@
 package orchestrator
 
-// This file is the self-healing fault path: HandleEvent routes the fault
-// event kinds (internal/faults schedules) here on all three orchestrator
-// paths. Healing contract:
+// This file is the self-healing fault path: HandleEvent and RunSource route
+// the fault event kinds (internal/faults schedules) here on all three
+// orchestrator paths. Healing contract:
 //
 //   - A failure (agent fail, region outage, or a degrade that leaves an
 //     agent over its shrunk capacity) first tears down every orphaned
@@ -16,8 +16,8 @@ package orchestrator
 //     its scheduled departure becomes a benign skip. The ledger never
 //     overshoots surviving capacity and the orchestrator never panics —
 //     bounded rejection is the graceful-degradation mode.
-//   - Successfully re-homed sessions are re-optimized through the ordinary
-//     dispatch pipeline (same task seeds, so replay is deterministic).
+//   - Successfully re-homed sessions are re-optimized through the shared
+//     re-opt stage (same task seeds, so replay is deterministic).
 //   - A recovery restores the agent's effective scale and re-balances:
 //     active sessions whose candidate windows can reach the recovered
 //     agents (all of them without a window) re-enter the walk, capped at
@@ -56,60 +56,46 @@ type faultResult struct {
 	incident bool
 }
 
-// handleFault applies one fault event and runs the healing it triggers —
-// the fault-kind counterpart of the serial HandleEvent body. Callers on the
-// pipelined path must drain the scheduler first.
-func (o *Orchestrator) handleFault(e workload.Event) (EventReport, error) {
-	rep := EventReport{Event: e, Admitted: true}
+// handleFault applies one fault event and runs the healing it triggers,
+// then the shared re-opt and retire stages. It always runs serially: in
+// pipelined mode it first drains the scheduler (a full barrier — healing
+// re-assigns sessions that in-flight events may own). emit, when non-nil,
+// receives the report at retire.
+func (o *Orchestrator) handleFault(e workload.Event, emit func(EventReport)) (EventReport, error) {
+	if o.pipe != nil {
+		if err := o.pipe.Drain(); err != nil {
+			return EventReport{}, err
+		}
+	}
 	if err := o.validateFault(e); err != nil {
 		return EventReport{}, err
 	}
-	var tally *eventTally
-	if o.tel != nil {
-		tally = &eventTally{chosenAgent: -1}
-	}
-	// Faults always run serially (the pipelined path drains first), so the
-	// event span shares the control lane and heal/task spans nest under it.
-	esp := o.tel.StartRoot(eventSpanName(e.Kind), "event", laneControl)
+	// The event span shares the control lane and heal/task spans nest
+	// under it.
+	st := o.startEvent(e, laneControl, emit)
 	start := time.Now()
-	res, err := o.applyFault(e, esp)
+	res, err := o.applyFault(e, st.span)
 	if err != nil {
-		return rep, err
+		o.eventIdx = st.seq
+		return st.rep, err
 	}
-	rep.Orphans = res.orphans
-	rep.Evacuated = res.evacuated
-	rep.EvacRejects = res.evacRejects
-	rep.Reopt = res.reopt
-	if len(res.reopt) > 0 {
-		before := o.snapshotStats()
-		rep.Latency = o.dispatch(res.reopt, tally, esp)
-		after := o.snapshotStats()
-		rep.Commits = after.Commits - before.Commits
-		rep.Rejects = after.Rejects - before.Rejects
-		rep.NoChange = after.NoChange - before.NoChange
-		rep.Conflicts = after.Conflicts - before.Conflicts
-	}
+	st.rep.Orphans = res.orphans
+	st.rep.Evacuated = res.evacuated
+	st.rep.EvacRejects = res.evacRejects
+	st.rep.Reopt = res.reopt
+	st.reoptStage()
 	// Time-to-recovery: fault application through the re-optimization
 	// barrier — the window during which the incident's sessions were not yet
 	// re-settled.
 	ttr := time.Since(start)
-	o.mu.Lock()
-	o.stats.Events++
-	o.stats.ReoptTotal += rep.Latency
-	if rep.Latency > o.stats.ReoptMax {
-		o.stats.ReoptMax = rep.Latency
-	}
-	o.lat.ObserveDuration(rep.Latency)
 	if res.incident {
+		o.mu.Lock()
 		o.stats.Incidents++
 		o.ttr.ObserveDuration(ttr)
+		o.mu.Unlock()
 	}
-	rep.Objective = o.cache.TotalObjective(o.a)
-	rep.ActiveSessions = o.cache.NumActive()
-	o.mu.Unlock()
-	o.eventIdx++
-	esp.EndArg(int64(res.orphans))
-	o.emitRecord(&rep, tally, false)
+	st.retire()
+	rep := st.rep
 	if res.incident {
 		o.tel.Incident(ttr.Nanoseconds())
 		// Freeze the black box for capacity-reducing incidents. The record
@@ -124,10 +110,7 @@ func (o *Orchestrator) handleFault(e workload.Event) (EventReport, error) {
 			"%s: %d orphans, %d evacuated, %d evac rejects",
 			e.Kind.String(), rep.Orphans, rep.Evacuated, rep.EvacRejects))
 	}
-	if err := o.takeRefErr(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, o.takeRefErr()
 }
 
 // validateFault checks a fault event's target fields (Session is ignored
@@ -413,9 +396,7 @@ func (o *Orchestrator) evictLocked(s model.SessionID) error {
 	}
 	o.cache.SetActive(s, false)
 	o.scr.InvalidateDelay(s)
-	if o.touchIdx != nil {
-		o.touchIdx[s] = nil
-	}
+	o.touchIdx[s] = nil
 	if o.rt != nil {
 		o.rt.DeactivateSession(s)
 	}
@@ -433,9 +414,7 @@ func (o *Orchestrator) rehomeLocked(s model.SessionID) (bool, error) {
 		return false, fmt.Errorf("orchestrator: evacuate session %d: %w", s, err)
 	}
 	o.cache.SetActive(s, true)
-	if o.touchIdx != nil {
-		o.touchIdx[s] = o.cache.SessionLoad(o.a, s).AppendAgents(nil)
-	}
+	o.touchIdx[s] = o.cache.SessionLoad(o.a, s).AppendAgents(nil)
 	if o.rt != nil {
 		if err := o.rt.ActivateSession(s, o.a); err != nil {
 			return false, err

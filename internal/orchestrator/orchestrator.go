@@ -5,18 +5,22 @@
 // claim that the Markov-approximation chain is "robust to variations due to
 // session dynamics".
 //
-// Architecture (event loop → shard pool → commit → migrate):
+// Architecture (admit → re-opt → retire, then migrate): every event runs
+// the same stages (stages.go), either back to back on the caller's
+// goroutine or, with Config.Pipeline, overlapped by the dependency-aware
+// scheduler (pipeline.go).
 //
-//  1. The event loop applies each arrival or departure against the
-//     authoritative assignment under the commit lock: arrivals bootstrap
+//  1. Admission applies each arrival or departure against the
+//     authoritative assignment under the state lock: arrivals bootstrap
 //     through the configured policy (AgRank or Nrst), departures release
 //     their load from the capacity ledger.
 //  2. The event then triggers incremental re-optimization of the *touched*
 //     session set — the arriving/departing session plus active sessions
-//     sharing agents with it — on a sharded solver pool: worker goroutines
-//     that snapshot the state, run a bounded Markov-approximation
-//     refinement (core.HopSession) warm-started from the live assignment,
-//     and keep the best state seen along the walk.
+//     sharing agents with it, read from the committed-agents index — on a
+//     sharded solver pool: worker goroutines that snapshot the state, run
+//     a bounded Markov-approximation refinement (core.HopSession)
+//     warm-started from the live assignment, and keep the best state seen
+//     along the walk.
 //  3. Each worker's proposal is merged back through the lock-striped
 //     capacity ledger (internal/shard): the proposal's touched agents are
 //     routed to their ID-range shards, those shards are locked in
@@ -43,15 +47,13 @@
 package orchestrator
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
-	"vconf/internal/agrank"
 	"vconf/internal/assign"
-	"vconf/internal/baseline"
 	"vconf/internal/confsim"
 	"vconf/internal/core"
 	"vconf/internal/cost"
@@ -91,17 +93,17 @@ type Config struct {
 	// ImprovementEps is the minimum Φ_s decrease a proposal must deliver to
 	// commit; smaller deltas are dropped as noise. Defaults to 1e-9.
 	ImprovementEps float64
-	// Pipeline switches HandleEvent/Run onto the dependency-aware event
-	// scheduler (internal/pipeline): multiple events proceed concurrently
-	// when their conflict footprints (owned sessions + routed ledger
-	// stripes) are disjoint, and queue behind the specific events they
-	// conflict with otherwise; reports still retire in arrival order. False
-	// (the default) keeps the per-event barrier path verbatim. Requires the
-	// sharded ledger backend (LedgerShards ≥ 0); with MaxInFlight = 1 the
-	// pipelined path is bit-identical to the serial one (differential
-	// tests pin it). Public snapshot methods (Assignment, CheckInvariants,
-	// ...) must only be called quiesced: between HandleEvent calls or after
-	// Run returns.
+	// Pipeline submits each event's admit → re-opt → retire stages to the
+	// dependency-aware event scheduler (internal/pipeline): multiple events
+	// proceed concurrently when their conflict footprints (owned sessions +
+	// routed ledger stripes) are disjoint, and queue behind the specific
+	// events they conflict with otherwise; reports still retire in arrival
+	// order. False (the default) runs the same stages one event at a time
+	// on the caller's goroutine. Requires the sharded ledger backend
+	// (LedgerShards ≥ 0); with MaxInFlight = 1 the two drivers are
+	// bit-identical (differential tests pin it). Public snapshot methods
+	// (Assignment, CheckInvariants, ...) must only be called quiesced:
+	// between HandleEvent calls or after Run returns.
 	Pipeline bool
 	// MaxInFlight bounds concurrently in-flight events in pipelined mode
 	// (admitted, re-optimization not yet complete). Defaults to Shards.
@@ -275,21 +277,21 @@ type EventReport struct {
 	ActiveSessions int
 }
 
-// Orchestrator is the online control plane. HandleEvent/Run drive it; all
-// state is guarded by the commit lock, and the shard pool synchronizes
-// through it, so the public API is safe for sequential use while workers
-// run concurrently.
+// Orchestrator is the online control plane. HandleEvent, Run and RunSource
+// drive it; all state is guarded by the state lock, and the shard pool
+// synchronizes through it, so the public API is safe for sequential use
+// while workers run concurrently.
 type Orchestrator struct {
 	ev   *cost.Evaluator
 	sc   *model.Scenario
 	cfg  Config
 	boot core.Bootstrapper
 
-	// mu is the state lock: it guards the cache, stats, runtime mirror,
-	// clock and error slot, plus — in single-lock mode only — every
+	// mu is the state lock: it guards the cache, touchIdx, stats, runtime
+	// mirror, clock and error slot, plus — in single-lock mode only — every
 	// assignment and ledger access. In sharded mode capacity lives behind
 	// the shard ledger's own stripe locks, and assignment accesses from
-	// workers are serialized by session ownership (see dispatch), so mu is
+	// workers are serialized by session ownership (see reoptStage), so mu is
 	// held only for brief metadata updates.
 	mu sync.Mutex
 	a  *assign.Assignment
@@ -325,20 +327,23 @@ type Orchestrator struct {
 	// tel is the optional telemetry sink (Config.Telemetry); nil disables
 	// every instrumentation site at the cost of a pointer test.
 	tel    *telemetry.Sink
-	refErr error // first worker error, surfaced by the next HandleEvent
+	refErr error // first worker error, surfaced before the next event
 
-	// Pipelined-mode state (nil/unused with Config.Pipeline off). pipe is
-	// the dependency-aware event scheduler; touchIdx[s] is active session
-	// s's committed agent set (ascending, nonzero-usage agents), maintained
-	// under mu at every bootstrap/commit/departure so footprint and
-	// touched-set computation never read an in-flight session's assignment
-	// state.
-	pipe     *pipeline.Scheduler
+	// pipe is the dependency-aware event scheduler (nil with
+	// Config.Pipeline off).
+	pipe *pipeline.Scheduler
+	// touchIdx[s] is active session s's committed agent set (ascending,
+	// nonzero-usage agents; empty when inactive), maintained under mu at
+	// every bootstrap, commit, departure and eviction on every path, so
+	// touched-set and footprint computation never read an in-flight
+	// session's assignment state. CheckInvariants verifies it.
 	touchIdx [][]model.AgentID
 
 	tasks     chan reoptTask
 	closeOnce sync.Once
-	eventIdx  int
+	// eventIdx is the next event's index (its task seeds derive from it);
+	// only the submitting goroutine touches it.
+	eventIdx int
 }
 
 // New builds an orchestrator and starts its shard pool. Call Close when
@@ -366,6 +371,8 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 		ttr:   telemetry.NewHistogram(),
 		tel:   cfg.Telemetry,
 		tasks: make(chan reoptTask),
+
+		touchIdx: make([][]model.AgentID, sc.NumSessions()),
 	}
 	o.failed = make([]bool, sc.NumAgents())
 	o.baseScale = make([]float64, sc.NumAgents())
@@ -414,7 +421,6 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 			return nil, err
 		}
 		o.pipe = sch
-		o.touchIdx = make([][]model.AgentID, sc.NumSessions())
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		go o.worker(i)
@@ -443,84 +449,33 @@ func (o *Orchestrator) AttachRuntime(rt *confsim.Runtime) {
 	o.rt = rt
 }
 
-// HandleEvent applies one churn event and runs the incremental
-// re-optimization it triggers, blocking until the shard pool drains. In
-// pipelined mode it submits the event to the scheduler and blocks until the
-// event retires — which, since events retire in arrival order, also means
-// the orchestrator is quiesced when it returns; stream events through Run
-// to overlap them.
+// HandleEvent applies one event and runs the re-optimization it triggers,
+// returning once the event has retired. A churn event runs the shared
+// admit → re-opt → retire stages: directly on the caller's goroutine, or in
+// pipelined mode through the scheduler — where, since events retire in
+// arrival order, returning also means the orchestrator is quiesced (stream
+// events through Run or RunSource to overlap them). A fault event drains
+// the scheduler and heals.
 func (o *Orchestrator) HandleEvent(e workload.Event) (EventReport, error) {
-	if o.pipe != nil {
-		return o.handleEventPipelined(e)
-	}
 	if err := o.takeRefErr(); err != nil {
 		return EventReport{}, err
 	}
 	if e.Kind.IsFault() {
-		return o.handleFault(e)
+		return o.handleFault(e, nil)
 	}
-	if e.Session < 0 || e.Session >= o.sc.NumSessions() {
-		return EventReport{}, fmt.Errorf("orchestrator: event session %d outside [0, %d)", e.Session, o.sc.NumSessions())
+	st, err := o.newEvent(e, nil)
+	if err != nil {
+		return EventReport{}, err
 	}
-	s := model.SessionID(e.Session)
-	rep := EventReport{Event: e, Admitted: true}
-	// The serial path is one event at a time, so the whole control plane
-	// shares the single control lane and spans nest by time containment.
-	esp := o.tel.StartRoot(eventSpanName(e.Kind), "event", laneControl)
-
-	var reopt []model.SessionID
-	switch e.Kind {
-	case workload.EventArrival:
-		admitted, touched, err := o.applyArrival(e.TimeS, s)
-		if err != nil {
-			return rep, err
-		}
-		rep.Admitted = admitted
-		reopt = touched
-	case workload.EventDeparture:
-		touched, live, err := o.applyDeparture(e.TimeS, s)
-		if err != nil {
-			return rep, err
-		}
-		rep.Admitted = live
-		reopt = touched
-	default:
-		return rep, fmt.Errorf("orchestrator: invalid event kind %d", e.Kind)
+	if o.pipe != nil {
+		err = o.handlePipelined(st)
+	} else {
+		err = st.runStages()
 	}
-
-	rep.Reopt = reopt
-	var tally *eventTally
-	if o.tel != nil {
-		tally = &eventTally{chosenAgent: -1}
+	if err == nil {
+		err = o.takeRefErr()
 	}
-	if len(reopt) > 0 {
-		before := o.snapshotStats()
-		rep.Latency = o.dispatch(reopt, tally, esp)
-		after := o.snapshotStats()
-		rep.Commits = after.Commits - before.Commits
-		rep.Rejects = after.Rejects - before.Rejects
-		rep.NoChange = after.NoChange - before.NoChange
-		rep.Conflicts = after.Conflicts - before.Conflicts
-	}
-
-	o.mu.Lock()
-	o.stats.Events++
-	o.stats.ReoptTotal += rep.Latency
-	if rep.Latency > o.stats.ReoptMax {
-		o.stats.ReoptMax = rep.Latency
-	}
-	o.lat.ObserveDuration(rep.Latency)
-	rep.Objective = o.cache.TotalObjective(o.a)
-	rep.ActiveSessions = o.cache.NumActive()
-	o.mu.Unlock()
-	o.observeDelay(tally, e, rep.Admitted)
-	o.eventIdx++
-	esp.EndArg(int64(e.Session))
-	o.emitRecord(&rep, tally, false)
-	if err := o.takeRefErr(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return st.rep, err
 }
 
 // Trace-lane layout for the span export (see telemetry.StartRoot): spans on
@@ -550,41 +505,27 @@ func eventSpanName(k workload.EventKind) string {
 	}
 }
 
-// observeDelay fills the tally's post-decision session delay for admitted
-// arrivals — the per-class SLO reading. Pure observation (enabled-telemetry
-// runs read, never write, extra state), so nil-vs-enabled runs stay
-// bit-identical. Callers must still own the trigger session's variables:
-// the serial path is quiesced here; the pipelined path calls this at the
-// end of its reopt stage, before the scheduler releases the footprint.
-func (o *Orchestrator) observeDelay(tally *eventTally, e workload.Event, admitted bool) {
-	if o.tel == nil || tally == nil || e.Kind != workload.EventArrival || !admitted {
-		return
-	}
-	tally.delayMS = cost.SessionDelaysOf(o.a, model.SessionID(e.Session)).MeanOfMaxMS
-}
-
 // emitRecord publishes one event's decision record to the telemetry sink
 // (no-op when telemetry is disabled). Event-scoped counters (events by
 // kind, stalls, drops, latency histograms, objective gauges) are derived
 // inside the sink from the record itself; task-scoped counters were already
-// bumped worker-side, so the two views reconcile exactly. tally may be nil
-// only when o.tel is nil.
-func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled bool) {
+// bumped worker-side, so the two views reconcile exactly.
+func (o *Orchestrator) emitRecord(st *eventState) {
 	if o.tel == nil {
 		return
 	}
+	rep, tally := &st.rep, &st.tally
 	rec := telemetry.DecisionRecord{
 		TimeS:          rep.Event.TimeS,
 		Session:        int(rep.Event.Session),
 		Admitted:       rep.Admitted,
-		Stalled:        stalled,
+		Stalled:        st.stalled,
 		Reopt:          len(rep.Reopt),
 		Commits:        rep.Commits,
 		Rejects:        rep.Rejects,
 		NoChange:       rep.NoChange,
 		Conflicts:      rep.Conflicts,
 		LatencyNs:      rep.Latency.Nanoseconds(),
-		ChosenAgent:    -1,
 		Objective:      rep.Objective,
 		ActiveSessions: rep.ActiveSessions,
 		// Fault-path outcomes ride on the record so the windowed sampler
@@ -593,6 +534,17 @@ func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled b
 		Orphans:     rep.Orphans,
 		Evacuated:   rep.Evacuated,
 		EvacRejects: rep.EvacRejects,
+		DelayMS:     tally.delayMS,
+		SnapshotNs:  tally.snapshotNs,
+		WalkNs:      tally.walkNs,
+		CommitNs:    tally.commitNs,
+		CacheWarm:   tally.cacheWarm,
+		CacheCold:   tally.cacheCold,
+		ChosenAgent: tally.chosenAgent,
+	}
+	if tally.cfValid {
+		rec.CfGap = tally.cfGap
+		rec.CfValid = true
 	}
 	switch rep.Event.Kind {
 	case workload.EventArrival:
@@ -609,19 +561,6 @@ func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled b
 		rec.Kind = rep.Event.Kind.String()
 		rec.CacheInvalidated = rep.Orphans
 	}
-	if tally != nil {
-		rec.DelayMS = tally.delayMS
-		rec.SnapshotNs = tally.snapshotNs
-		rec.WalkNs = tally.walkNs
-		rec.CommitNs = tally.commitNs
-		rec.CacheWarm = tally.cacheWarm
-		rec.CacheCold = tally.cacheCold
-		rec.ChosenAgent = tally.chosenAgent
-		if tally.cfValid {
-			rec.CfGap = tally.cfGap
-			rec.CfValid = true
-		}
-	}
 	o.tel.Record(rec)
 	if o.pipe != nil {
 		ps := o.pipe.Stats()
@@ -631,78 +570,6 @@ func (o *Orchestrator) emitRecord(rep *EventReport, tally *eventTally, stalled b
 		ls := o.shl.Stats()
 		o.tel.LedgerStats(ls.Committed, ls.Conflicts, ls.Infeasible)
 	}
-}
-
-// applyArrival bootstraps session s and returns (admitted, touched set).
-func (o *Orchestrator) applyArrival(timeS float64, s model.SessionID) (bool, []model.SessionID, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.advanceClock(timeS)
-	o.stats.Arrivals++
-	if o.cache.Active(s) {
-		return false, nil, fmt.Errorf("orchestrator: arrival for already-active session %d", s)
-	}
-	if err := o.boot(o.a, s, o.ledger); err != nil {
-		// Admission infeasibility (the bootstrapper rolled the session back)
-		// is an expected drop; anything else — misconfiguration, a buggy
-		// custom bootstrapper — must surface loudly, not read as churn.
-		if errors.Is(err, agrank.ErrInfeasible) || errors.Is(err, baseline.ErrInfeasible) {
-			o.stats.Dropped++
-			if o.impaired > 0 {
-				o.stats.DegradedRejects++
-				o.tel.DegradedReject(o.tel.RegionOf(int(s)))
-			}
-			return false, nil, nil
-		}
-		return false, nil, fmt.Errorf("orchestrator: bootstrap session %d: %w", s, err)
-	}
-	o.cache.SetActive(s, true)
-	if o.rt != nil {
-		if err := o.rt.ActivateSession(s, o.a); err != nil {
-			return false, nil, err
-		}
-	}
-	touched := o.touchedLocked(s, o.agentsOf(o.cache.SessionLoad(o.a, s)))
-	return true, o.capReopt(s, touched), nil
-}
-
-// applyDeparture releases session s and returns (touched set, whether the
-// session was live). A departure for a session that was never admitted — the
-// echo of a dropped arrival — is a benign skip.
-func (o *Orchestrator) applyDeparture(timeS float64, s model.SessionID) ([]model.SessionID, bool, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.advanceClock(timeS)
-	o.stats.Departures++
-	if !o.cache.Active(s) {
-		o.stats.Skipped++
-		return nil, false, nil
-	}
-	agents := o.agentsOf(o.cache.SessionLoad(o.a, s))
-	o.ledger.RemoveSparse(o.cache.SessionLoad(o.a, s))
-	for _, u := range o.sc.Session(s).Users {
-		o.a.SetUserAgent(u, assign.Unassigned)
-	}
-	for _, f := range o.a.SessionFlows(s) {
-		if err := o.a.SetFlowAgent(f, assign.Unassigned); err != nil {
-			return nil, false, err
-		}
-	}
-	// Departure invalidation, under the state lock: the objective cache's
-	// refresh scratch drops its delay entry inside SetActive, and the
-	// commit scratch drops its own here — a re-arrival rebuilds cold
-	// instead of patching a fully-torn-down matrix. (Worker scratches need
-	// no notification: their cached entries re-validate against the
-	// session's decision variables on next use.)
-	o.cache.SetActive(s, false)
-	o.scr.InvalidateDelay(s)
-	if o.rt != nil {
-		o.rt.DeactivateSession(s)
-	}
-	// The departed session freed capacity on its agents: sessions loading
-	// those agents may now have better moves available.
-	touched := o.touchedLocked(s, agents)
-	return o.capReopt(model.SessionID(-1), touched), true, nil
 }
 
 // advanceClock moves orchestrator time monotonically.
@@ -721,22 +588,6 @@ func (o *Orchestrator) agentsOf(sl *cost.SparseLoad) []bool {
 	return set
 }
 
-// touchedLocked lists active sessions (≠ trigger) with load on any of the
-// given agents, in ascending session order. Caller holds the commit lock.
-// Each membership test is O(touched agents of the session), not O(fleet).
-func (o *Orchestrator) touchedLocked(trigger model.SessionID, agents []bool) []model.SessionID {
-	var out []model.SessionID
-	for _, s := range o.cache.ActiveSessions() {
-		if s == trigger {
-			continue
-		}
-		if o.cache.SessionLoad(o.a, s).OverlapsAgents(agents) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // capReopt assembles the final re-optimization set: the trigger session
 // first (if still active, i.e. arrivals), then touched sessions, capped.
 func (o *Orchestrator) capReopt(trigger model.SessionID, touched []model.SessionID) []model.SessionID {
@@ -751,54 +602,6 @@ func (o *Orchestrator) capReopt(trigger model.SessionID, touched []model.Session
 		out = append(out, s)
 	}
 	return out
-}
-
-// Run processes an event schedule in order. When a runtime is attached, the
-// data plane is ticked across event gaps and to horizonS at the end, so
-// dual-feed overheads land in telemetry. Returns the per-event reports. In
-// pipelined mode events are streamed into the scheduler and overlap when
-// their footprints allow; reports still come back in schedule order, and
-// the orchestrator is fully drained when Run returns.
-func (o *Orchestrator) Run(events []workload.Event, horizonS float64) ([]EventReport, error) {
-	if o.pipe != nil {
-		return o.runPipelined(events, horizonS)
-	}
-	reports := make([]EventReport, 0, len(events))
-	for i, e := range events {
-		// The schedule contract is non-decreasing time; reject violations
-		// instead of silently regressing the clock (advanceClock would
-		// otherwise just ignore them).
-		if i > 0 && e.TimeS < events[i-1].TimeS {
-			return reports, fmt.Errorf("orchestrator: out-of-order event %d at t=%v after t=%v",
-				i, e.TimeS, events[i-1].TimeS)
-		}
-		if rt := o.runtime(); rt != nil {
-			if dt := e.TimeS - rt.Now(); dt > 1e-9 {
-				if _, err := rt.Tick(dt); err != nil {
-					return reports, err
-				}
-			}
-		}
-		rep, err := o.HandleEvent(e)
-		if err != nil {
-			return reports, err
-		}
-		reports = append(reports, rep)
-	}
-	if rt := o.runtime(); rt != nil {
-		if dt := horizonS - rt.Now(); dt > 1e-9 {
-			if _, err := rt.Tick(dt); err != nil {
-				return reports, err
-			}
-		}
-	}
-	return reports, nil
-}
-
-func (o *Orchestrator) runtime() *confsim.Runtime {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.rt
 }
 
 // Assignment returns a snapshot of the live assignment.
@@ -850,15 +653,6 @@ func (o *Orchestrator) Stats() Stats {
 	return st
 }
 
-// snapshotStats copies the raw counters only — the serial HandleEvent path
-// diffs it around each dispatch, so it skips the derived percentile and
-// scheduler-telemetry fills Stats performs.
-func (o *Orchestrator) snapshotStats() Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
-}
-
 // Recomputes exposes the delta-evaluation cost meter: cumulative
 // per-session objective recomputations.
 func (o *Orchestrator) Recomputes() int {
@@ -871,7 +665,8 @@ func (o *Orchestrator) Recomputes() int {
 // and delay-feasible, the ledger within every capacity, and the ledger
 // usage reconciling against the active sessions' loads recomputed from the
 // assignment — which catches lost, duplicated or half-committed sessions
-// after concurrent commit storms. Used by tests after every event. A
+// after concurrent commit storms — and the committed-agents index matching
+// every session's committed load. Used by tests after every event. A
 // failure freezes a flight-recorder dump before returning, so the black
 // box captures the state that tripped the check.
 func (o *Orchestrator) CheckInvariants() error {
@@ -894,6 +689,16 @@ func (o *Orchestrator) checkInvariants() error {
 		}
 		if !cost.DelayFeasible(o.a, s) {
 			return fmt.Errorf("orchestrator: active session %d violates the delay cap", s)
+		}
+	}
+	for i, got := range o.touchIdx {
+		s := model.SessionID(i)
+		var want []model.AgentID
+		if o.cache.Active(s) {
+			want = o.cache.SessionLoad(o.a, s).AppendAgents(nil)
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("orchestrator: session %d committed-agents index %v, assignment implies %v", s, got, want)
 		}
 	}
 	// Reconciliation: ledger usage must equal Σ active-session loads.

@@ -337,3 +337,69 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("invalid core config accepted")
 	}
 }
+
+// TestCheckInvariantsCommittedAgentsIndex pins the committed-agents index
+// check: after churn on every path the index matches each session's
+// committed load, and corrupting one active or one inactive entry trips
+// CheckInvariants.
+func TestCheckInvariantsCommittedAgentsIndex(t *testing.T) {
+	paths := []struct {
+		name string
+		tune func(cfg *Config)
+	}{
+		{"serial", func(cfg *Config) {}},
+		{"single-lock", func(cfg *Config) { cfg.LedgerShards = -1 }},
+		{"pipelined", func(cfg *Config) {
+			cfg.Pipeline = true
+			cfg.MaxInFlight = 2
+		}},
+	}
+	for _, tc := range paths {
+		t.Run(tc.name, func(t *testing.T) {
+			ev, boot := testStack(t, workload.Prototype(9))
+			events := churn(t, ev, 9, 200, 0.1, 100)
+			cfg := DefaultConfig(9)
+			cfg.Shards = 2
+			tc.tune(&cfg)
+			o, err := New(ev, boot, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer o.Close()
+			if _, err := o.Run(events, 200); err != nil {
+				t.Fatal(err)
+			}
+			if o.Stats().Commits == 0 {
+				t.Fatal("churn committed nothing; the index check saw no commit")
+			}
+			if err := o.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			active, inactive := model.SessionID(-1), model.SessionID(-1)
+			for s := range o.touchIdx {
+				if o.cache.Active(model.SessionID(s)) {
+					active = model.SessionID(s)
+				} else {
+					inactive = model.SessionID(s)
+				}
+			}
+			if active < 0 || inactive < 0 {
+				t.Fatalf("need an active and an inactive session (active %d, inactive %d)", active, inactive)
+			}
+			saved := o.touchIdx[active]
+			o.touchIdx[active] = saved[:len(saved)-1]
+			if err := o.CheckInvariants(); err == nil {
+				t.Fatalf("truncated index entry of active session %d accepted", active)
+			}
+			o.touchIdx[active] = saved
+			o.touchIdx[inactive] = []model.AgentID{0}
+			if err := o.CheckInvariants(); err == nil {
+				t.Fatalf("non-empty index entry of inactive session %d accepted", inactive)
+			}
+			o.touchIdx[inactive] = nil
+			if err := o.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -15,9 +15,9 @@ import (
 )
 
 // reoptTask is one unit of shard-pool work: re-optimize one session's
-// variables by a bounded Markov refinement walk. tally, when non-nil
-// (pipelined mode), attributes the task's outcome to its event so per-event
-// reports stay exact while events overlap.
+// variables by a bounded Markov refinement walk. tally attributes the
+// task's outcome to its event, so per-event reports stay exact while
+// events overlap.
 type reoptTask struct {
 	session model.SessionID
 	seed    int64
@@ -30,13 +30,13 @@ type reoptTask struct {
 }
 
 // eventTally accumulates one event's task outcomes; its fields are guarded
-// by o.mu alongside the global stats counters. The pipelined path always
-// attaches one (per-event reports stay exact while events overlap); the
-// serial path attaches one only when telemetry is enabled, to feed the
-// decision record. chosenAgent must be initialized to -1.
+// by o.mu alongside the global stats counters. Every event and heal
+// attaches one, and EventReport's outcome counts come from it on every
+// path. chosenAgent must be initialized to -1.
 type eventTally struct {
 	commits, rejects, noChange, conflicts int
-	// Per-task telemetry, merged at task finish (telemetry enabled only):
+	// Per-task telemetry, merged at task finish (telemetry enabled only;
+	// zero, and chosenAgent -1, when the sink is nil):
 	// phase durations, delay-cache outcome deltas, and the counterfactual-k
 	// reading of the event's first committed proposal.
 	snapshotNs, walkNs, commitNs int64
@@ -45,40 +45,17 @@ type eventTally struct {
 	cfGap                        float64
 	cfValid                      bool
 	// delayMS is the trigger session's post-decision mean-of-max delay
-	// (admitted arrivals only; see Orchestrator.observeDelay).
+	// (admitted arrivals only; read at the end of reoptStage).
 	delayMS float64
 }
 
-// bumpTask increments a global outcome counter and, for pipelined events,
-// the matching per-event tally slot, under the state lock.
+// bumpTask increments a global outcome counter and the matching per-event
+// tally slot, under the state lock.
 func (o *Orchestrator) bumpTask(global, local *int) {
 	o.mu.Lock()
 	*global++
-	if local != nil {
-		*local++
-	}
+	*local++
 	o.mu.Unlock()
-}
-
-func (t reoptTask) noChangeSlot() *int {
-	if t.tally == nil {
-		return nil
-	}
-	return &t.tally.noChange
-}
-
-func (t reoptTask) rejectSlot() *int {
-	if t.tally == nil {
-		return nil
-	}
-	return &t.tally.rejects
-}
-
-func (t reoptTask) conflictSlot() *int {
-	if t.tally == nil {
-		return nil
-	}
-	return &t.tally.conflicts
 }
 
 // telOutcome mirrors one task outcome into the telemetry sink's
@@ -107,28 +84,6 @@ func taskSeed(seed int64, s model.SessionID, eventIdx int) int64 {
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
 	return int64(z >> 1)
-}
-
-// dispatch hands the session set to the worker pool and blocks until every
-// task has been refined and merged (the per-event barrier), returning the
-// wall-clock latency — the orchestrator's headline responsiveness metric.
-//
-// The barrier is also what makes the lock-free parts of the sharded commit
-// pipeline sound: within one dispatch the event loop is parked and every
-// session appears in at most one task, so a task is the only goroutine
-// reading or writing its session's variables in the live assignment.
-func (o *Orchestrator) dispatch(sessions []model.SessionID, tally *eventTally, parent telemetry.Span) time.Duration {
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, s := range sessions {
-		wg.Add(1)
-		o.tasks <- reoptTask{session: s, seed: taskSeed(o.cfg.Core.Seed, s, o.eventIdx), wg: &wg, tally: tally, parent: parent}
-	}
-	wg.Wait()
-	o.mu.Lock()
-	o.stats.Tasks += len(sessions)
-	o.mu.Unlock()
-	return time.Since(start)
 }
 
 // workerState is one worker's private buffers: the hop scratch, a dense
@@ -189,8 +144,8 @@ func (o *Orchestrator) beginTaskProbe(w *workerState) *taskProbe {
 // finishTaskProbe publishes one task's probe: phase counters and cache
 // deltas to the sink (worker-sharded, lock-free), the probe's timers
 // promoted into a task span with snapshot/walk/commit attribution children
-// on the worker's trace lane, and — when the task carries an event tally —
-// the same readings into the event's record fields under o.mu.
+// on the worker's trace lane, and the same readings into the event's tally
+// under o.mu.
 func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskProbe) {
 	probe.flushCommit()
 	var hits, patches, rebuilds int64
@@ -219,15 +174,13 @@ func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskP
 		o.tel.EmitSpan(ph.name, "task", task, lane, at, ph.ns, int64(t.session))
 		at = at.Add(time.Duration(ph.ns))
 	}
-	if t.tally != nil {
-		o.mu.Lock()
-		t.tally.snapshotNs += probe.snapshotNs
-		t.tally.walkNs += probe.walkNs
-		t.tally.commitNs += probe.commitNs
-		t.tally.cacheWarm += int(hits + patches)
-		t.tally.cacheCold += int(rebuilds)
-		o.mu.Unlock()
-	}
+	o.mu.Lock()
+	t.tally.snapshotNs += probe.snapshotNs
+	t.tally.walkNs += probe.walkNs
+	t.tally.commitNs += probe.commitNs
+	t.tally.cacheWarm += int(hits + patches)
+	t.tally.cacheCold += int(rebuilds)
+	o.mu.Unlock()
 }
 
 // worker is one solver shard: it refines tasks until the pool closes. id is
@@ -238,7 +191,7 @@ func (o *Orchestrator) worker(id int) {
 	// stays warm across the hops of one refinement walk (and across tasks,
 	// when the session's variables did not change in between). Entries
 	// self-validate against the session's decision variables, so commits by
-	// sibling workers and the event loop's arrivals/departures — all of
+	// sibling workers and event admissions (arrivals/departures) — all of
 	// which rewrite those variables — are picked up as signature mismatches
 	// on the next evaluation; stale state is never reused (see
 	// cost.DelayCache's staleness contract).
@@ -270,10 +223,10 @@ func (o *Orchestrator) worker(id int) {
 // parallel. A bounded retry loop re-snapshots and re-walks when a commit
 // loses a cross-shard race (shard.Conflict).
 //
-// No lock guards the live assignment accesses here: the dispatch barrier
-// guarantees this task is the sole owner of its session's variables (see
-// dispatch), and o.mu is taken only for the brief stats/cache/runtime
-// update after a successful capacity commit.
+// No lock guards the live assignment accesses here: the event's re-opt
+// stage guarantees this task is the sole owner of its session's variables
+// (see reoptStage), and o.mu is taken only for the brief stats/cache/index/
+// runtime update after a successful capacity commit.
 func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 	if !o.cache.Active(t.session) {
 		return
@@ -388,7 +341,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 			probe.commitStart = now
 		}
 		if !improved {
-			o.bumpTask(&o.stats.NoChange, t.noChangeSlot())
+			o.bumpTask(&o.stats.NoChange, &t.tally.noChange)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
@@ -416,7 +369,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 			}
 		}
 		if len(w.ds) == 0 {
-			o.bumpTask(&o.stats.NoChange, t.noChangeSlot())
+			o.bumpTask(&o.stats.NoChange, &t.tally.noChange)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
@@ -427,12 +380,12 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		newEval := o.ev.BeginSession(w.aw, t.session, es)
 		newLoad := es.CurLoad()
 		if newEval.Phi >= startPhi-o.cfg.ImprovementEps {
-			o.bumpTask(&o.stats.NoChange, t.noChangeSlot())
+			o.bumpTask(&o.stats.NoChange, &t.tally.noChange)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 			return
 		}
 		if !newEval.DelayFeasible(o.sc.DMaxMS) {
-			o.bumpTask(&o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(&o.stats.Rejects, &t.tally.rejects)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		}
@@ -447,34 +400,25 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 					return
 				}
 			}
-			// Pipelined mode keeps the touched-set index and the objective
-			// cache current from the committing worker's own evaluation, so
-			// no later admission or retire ever recomputes this session from
+			// Keep the committed-agents index and the objective cache
+			// current from the committing worker's own evaluation, so no
+			// later admission or retire ever recomputes this session from
 			// the shared assignment while another event may own it. The
 			// agent extraction runs on worker-private state before taking mu.
-			var idxAgents []model.AgentID
-			if o.pipe != nil {
-				idxAgents = newLoad.AppendAgents(nil)
-			}
+			idxAgents := newLoad.AppendAgents(nil)
 			o.mu.Lock()
-			if o.pipe != nil {
-				o.cache.Prime(t.session, newEval.Phi, newLoad)
-				o.touchIdx[t.session] = idxAgents
-			} else {
-				o.cache.Invalidate(t.session)
-			}
+			o.cache.Prime(t.session, newEval.Phi, newLoad)
+			o.touchIdx[t.session] = idxAgents
 			o.stats.Commits++
-			if t.tally != nil {
-				t.tally.commits++
-				// Counterfactual-k: keep the event's first committed
-				// proposal's decisive hop (probe != nil paths only; the
-				// tally fields stay zeroed otherwise).
-				if t.tally.chosenAgent < 0 && bestAgent >= 0 {
-					t.tally.chosenAgent = bestAgent
-					if !math.IsInf(bestGap, 1) {
-						t.tally.cfGap = bestGap
-						t.tally.cfValid = true
-					}
+			t.tally.commits++
+			// Counterfactual-k: keep the event's first committed proposal's
+			// decisive hop (probe != nil paths only; the tally fields stay
+			// zeroed otherwise).
+			if t.tally.chosenAgent < 0 && bestAgent >= 0 {
+				t.tally.chosenAgent = bestAgent
+				if !math.IsInf(bestGap, 1) {
+					t.tally.cfGap = bestGap
+					t.tally.cfValid = true
 				}
 			}
 			if o.rt != nil {
@@ -493,16 +437,16 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		case shard.Conflict:
 			// A sibling commit changed a routed shard after our snapshot:
 			// the walk ran on stale residual capacities. Retry bounded.
-			o.bumpTask(&o.stats.Conflicts, t.conflictSlot())
+			o.bumpTask(&o.stats.Conflicts, &t.tally.conflicts)
 			o.telConflict(w.id, t.session)
 			if attempt < o.cfg.CommitRetries {
 				continue
 			}
-			o.bumpTask(&o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(&o.stats.Rejects, &t.tally.rejects)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		default: // shard.Infeasible
-			o.bumpTask(&o.stats.Rejects, t.rejectSlot())
+			o.bumpTask(&o.stats.Rejects, &t.tally.rejects)
 			o.telOutcome(w.id, t.session, telemetry.OutcomeReject)
 			return
 		}
@@ -627,7 +571,7 @@ func (o *Orchestrator) refineSingleLock(t reoptTask, w *workerState) {
 		probe.commitStart = now
 	}
 	if !improved {
-		o.bumpTask(&o.stats.NoChange, t.noChangeSlot())
+		o.bumpTask(&o.stats.NoChange, &t.tally.noChange)
 		o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
 		return
 	}
@@ -644,18 +588,14 @@ func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
 	defer o.mu.Unlock()
 	if !o.cache.Active(p.session) {
 		o.stats.Rejects++ // departed while refining
-		if t.tally != nil {
-			t.tally.rejects++
-		}
+		t.tally.rejects++
 		o.telOutcome(wid, p.session, telemetry.OutcomeReject)
 		return
 	}
 	curPhi := o.cache.SessionObjective(o.a, p.session)
 	if p.phi >= curPhi-o.cfg.ImprovementEps {
 		o.stats.NoChange++
-		if t.tally != nil {
-			t.tally.noChange++
-		}
+		t.tally.noChange++
 		o.telOutcome(wid, p.session, telemetry.OutcomeNoChange)
 		return
 	}
@@ -674,9 +614,7 @@ func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
 	}
 	if len(ds) == 0 {
 		o.stats.NoChange++
-		if t.tally != nil {
-			t.tally.noChange++
-		}
+		t.tally.noChange++
 		o.telOutcome(wid, p.session, telemetry.OutcomeNoChange)
 		return
 	}
@@ -690,9 +628,7 @@ func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
 		}
 		o.dense.AddSparse(curLoad)
 		o.stats.Rejects++
-		if t.tally != nil {
-			t.tally.rejects++
-		}
+		t.tally.rejects++
 		o.telOutcome(wid, p.session, telemetry.OutcomeReject)
 	}
 	for _, d := range ds {
@@ -716,15 +652,14 @@ func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
 	}
 	o.dense.AddSparse(newLoad)
 	o.cache.Invalidate(p.session)
+	o.touchIdx[p.session] = newLoad.AppendAgents(nil)
 	o.stats.Commits++
-	if t.tally != nil {
-		t.tally.commits++
-		if t.tally.chosenAgent < 0 && p.cfAgent >= 0 {
-			t.tally.chosenAgent = p.cfAgent
-			if p.cfValid {
-				t.tally.cfGap = p.cfGap
-				t.tally.cfValid = true
-			}
+	t.tally.commits++
+	if t.tally.chosenAgent < 0 && p.cfAgent >= 0 {
+		t.tally.chosenAgent = p.cfAgent
+		if p.cfValid {
+			t.tally.cfGap = p.cfGap
+			t.tally.cfValid = true
 		}
 	}
 	o.telOutcome(wid, p.session, telemetry.OutcomeCommit)

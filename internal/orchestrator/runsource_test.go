@@ -278,7 +278,8 @@ func TestRunSourceRecordReplay(t *testing.T) {
 // TestRunHorizonEdgeCases pins Run's boundary behavior: an empty schedule
 // is a no-op success, an event exactly at horizonS is processed, and
 // out-of-order input is rejected (serial and pipelined) instead of
-// silently regressing the clock.
+// silently regressing the clock, with the reports retired before the bad
+// event still returned.
 func TestRunHorizonEdgeCases(t *testing.T) {
 	build := func(pipelined bool) *Orchestrator {
 		ev, boot := testStack(t, workload.Prototype(21))
@@ -314,8 +315,14 @@ func TestRunHorizonEdgeCases(t *testing.T) {
 			{TimeS: 120, Kind: workload.EventArrival, Session: 1},
 			{TimeS: 110, Kind: workload.EventArrival, Session: 2},
 		}
-		if _, err := o.Run(bad, 200); err == nil {
+		reports, err = o.Run(bad, 200)
+		if err == nil {
 			t.Fatalf("pipelined=%v: out-of-order schedule accepted", pipelined)
+		}
+		// Run returns exactly the reports retired before the bad event.
+		if len(reports) != 1 || reports[0].Event != bad[0] {
+			t.Fatalf("pipelined=%v: out-of-order schedule returned %+v, want the 1 report before the bad event",
+				pipelined, reports)
 		}
 		// The rejection happens before the offending event applies, so the
 		// orchestrator keeps working.
