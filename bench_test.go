@@ -244,14 +244,14 @@ func fleetScenario(b *testing.B, seed int64) (*cost.Evaluator, *assign.Assignmen
 
 // BenchmarkHopSession measures one HOP of Alg. 1 on a 100-agent fleet:
 // "sparse-warm" is the production delta pipeline with the persistent
-// per-session delay cache (target: 0 allocs/op), "sparse-rebuild" the same
-// pipeline rebuilding the delay base every hop (the pre-cache path behind
-// core.Config.RebuildDelayBase), "dense" the reference implementation both
-// replaced, and "sparse-7agents" the classic paper-scale workload for
-// continuity with older baselines. The "warm-hop"/"rebuild-hop" pair runs
-// the N_ngbr = 1 candidate window (Fig. 10's tightest pruning), where the
-// once-per-hop BeginSession is a large share of the hop and the warm cache
-// pays off most — the acceptance series recorded in BENCH_5.json.
+// per-session delay cache (target: 0 allocs/op), and "sparse-7agents" the
+// classic paper-scale workload for continuity with older baselines.
+// "warm-hop" runs the N_ngbr = 1 candidate window (Fig. 10's tightest
+// pruning), where the once-per-hop BeginSession is a large share of the hop
+// and the warm cache pays off most — the acceptance series recorded in
+// BENCH_5.json. The reference paths these replaced (the dense hop and the
+// per-hop delay-base rebuild) are benchmarked under the same name in
+// internal/core.
 func BenchmarkHopSession(b *testing.B) {
 	run := func(b *testing.B, ev *cost.Evaluator, a *assign.Assignment, ledger *cost.Ledger, cfg core.Config) {
 		rng := rand.New(rand.NewSource(1))
@@ -265,39 +265,25 @@ func BenchmarkHopSession(b *testing.B) {
 			}
 		}
 	}
-	shape := func(dense, rebuild bool, window int) core.Config {
+	shape := func(window int) core.Config {
 		cfg := core.DefaultConfig(1)
-		cfg.DenseEval = dense
-		cfg.RebuildDelayBase = rebuild
 		cfg.NeighborWindow = window
 		return cfg
 	}
 	b.Run("sparse-warm", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, false, 0))
+		run(b, ev, a, ledger, shape(0))
 	})
-	b.Run("sparse-rebuild", func(b *testing.B) {
-		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, true, 0))
-	})
-	// The acceptance pair: the N_ngbr = 1 windowed chain (Fig. 10's
-	// tightest pruning), where every hop's BeginSession lands on the entry
-	// its previous commit re-synchronized — a pure warm hit.
+	// The N_ngbr = 1 windowed chain (Fig. 10's tightest pruning), where
+	// every hop's BeginSession lands on the entry its previous commit
+	// re-synchronized — a pure warm hit.
 	b.Run("warm-hop", func(b *testing.B) {
 		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, false, 1))
-	})
-	b.Run("rebuild-hop", func(b *testing.B) {
-		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, true, 1))
-	})
-	b.Run("dense", func(b *testing.B) {
-		ev, a, ledger := fleetScenario(b, 1)
-		run(b, ev, a, ledger, shape(true, false, 0))
+		run(b, ev, a, ledger, shape(1))
 	})
 	b.Run("sparse-7agents", func(b *testing.B) {
 		ev, a, ledger := benchScenario(b, 1)
-		run(b, ev, a, ledger, shape(false, false, 0))
+		run(b, ev, a, ledger, shape(0))
 	})
 }
 

@@ -38,11 +38,9 @@ func GenerateChurn(cfg ChurnConfig) ([]ChurnEvent, error) {
 type Orchestrator = orchestrator.Orchestrator
 
 // OrchestratorConfig tunes the orchestrator: Shards sets the solver worker
-// count, LedgerShards the capacity-ledger stripe count (0 = one ID-range
-// shard per worker via the lock-striped internal/shard pipeline, -1 = the
-// legacy single-lock commit path kept for differential benchmarks),
-// CommitRetries the bounded retry budget after cross-shard commit races,
-// plus the per-task hop budget, touched-set cap, N_ngbr candidate window
+// count, LedgerShards the stripe count of the lock-striped capacity ledger
+// (internal/shard; 0 = one ID-range shard per worker), plus the per-task
+// hop budget, touched-set cap, N_ngbr candidate window
 // (Core.NeighborWindow) and the refinement chain parameters. Pipeline
 // switches event handling onto the dependency-aware scheduler
 // (internal/pipeline) so churn events with disjoint conflict footprints

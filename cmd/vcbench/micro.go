@@ -1,9 +1,12 @@
 // Micro-benchmark mode: `vcbench -run micro [-format json]` measures the hop
-// pipeline's hot paths before/after the sparse rewrite and emits the
-// ns/op + allocs/op table the repo's BENCH_<n>.json perf-trajectory files
-// record. "before" numbers run the dense reference implementation that is
-// kept behind core.Config.DenseEval; "after" numbers run the production
-// sparse pipeline — same binary, same fixtures, so the comparison is exact.
+// pipeline's hot paths and emits the ns/op + allocs/op table the repo's
+// BENCH_<n>.json perf-trajectory files record: the production sparse hop,
+// Φ_s evaluation and orchestrator event, the persistent per-session delay
+// cache against the per-hop delay-base rebuild (the same pipeline with the
+// cache switched off on its scratch), and the orchestrator's events/sec
+// sweep over the capacity-ledger stripe count. The dense reference hop is
+// test-only code, benchmarked by `go test -bench HopSession ./internal/core`;
+// the single-lock commit path is test-only code in internal/orchestrator.
 package main
 
 import (
@@ -66,7 +69,7 @@ type microReport struct {
 	Benchmarks []microResult `json:"benchmarks"`
 	// ShardSweep is the OrchestratorEvent events/sec-vs-shard-count sweep:
 	// identical fleet and schedule, shard count n = n workers over an
-	// n-stripe ledger (n = 1: the legacy single-lock path).
+	// n-stripe ledger.
 	ShardSweep []shardSweepPoint `json:"shard_sweep,omitempty"`
 	// HardwareParallelCeiling is the host's measured raw 2-way CPU speedup
 	// (2 × serial-time / dual-goroutine-time of a pure spin loop). Shared
@@ -74,8 +77,9 @@ type microReport struct {
 	// is bounded by it, so read the two together (their ratio is the
 	// sweep's parallel efficiency, also recorded under Speedups).
 	HardwareParallelCeiling float64 `json:"hardware_parallel_ceiling,omitempty"`
-	// Speedups maps benchmark family → dense-ns / sparse-ns (and the shard
-	// sweep's max-shards / 1-shard throughput ratio).
+	// Speedups maps a series to its speedup over its reference: rebuild-ns
+	// / warm-ns for the delay-cache series, and the shard sweep's
+	// max-shards / 1-shard throughput ratio.
 	Speedups map[string]float64 `json:"speedups"`
 }
 
@@ -91,9 +95,9 @@ func record(name string, agents int, r testing.BenchmarkResult) microResult {
 }
 
 // hopBench measures HopSession over the synthetic fleet. window > 0
-// applies the N_ngbr candidate window; rebuild selects the per-hop
-// delay-base rebuild instead of the persistent delay cache.
-func hopBench(fleetAgents int, seed int64, dense, rebuild bool, window int) (testing.BenchmarkResult, error) {
+// applies the N_ngbr candidate window; rebuild switches the scratch's
+// persistent delay cache off, so every hop rebuilds the delay base.
+func hopBench(fleetAgents int, seed int64, rebuild bool, window int) (testing.BenchmarkResult, error) {
 	fc := workload.DefaultFleetConfig(seed)
 	fc.NumAgents = fleetAgents
 	sc, err := workload.GenerateSyntheticFleet(fc)
@@ -111,11 +115,10 @@ func hopBench(fleetAgents int, seed int64, dense, rebuild bool, window int) (tes
 		return testing.BenchmarkResult{}, err
 	}
 	cfg := core.DefaultConfig(seed)
-	cfg.DenseEval = dense
-	cfg.RebuildDelayBase = rebuild
 	cfg.NeighborWindow = window
 	rng := rand.New(rand.NewSource(seed))
 	scr := core.NewHopScratch(ev)
+	scr.Eval().SetDelayCacheEnabled(!rebuild)
 	sessions := sc.NumSessions()
 	// Warm-up pass: sizes every buffer and, on the cached path, populates
 	// every session's delay entry, so the measurement is steady state.
@@ -137,19 +140,12 @@ func hopBench(fleetAgents int, seed int64, dense, rebuild bool, window int) (tes
 	return res, benchErr
 }
 
-// objectiveMode selects the Φ_s evaluation path objectiveBench measures.
-type objectiveMode int
-
-const (
-	objectiveDense  objectiveMode = iota // fresh load vectors + from-scratch delays
-	objectiveSparse                      // sparse scratch, per-call delay-base rebuild
-	objectiveWarm                        // sparse scratch, persistent delay cache (warm hits)
-)
-
-// objectiveBench measures Φ_s evaluation on the paper-scale workload. The
-// warm mode cycles unchanged sessions, so it isolates what the persistent
-// delay cache saves on the once-per-hop BeginSession term.
-func objectiveBench(seed int64, mode objectiveMode) (testing.BenchmarkResult, int, error) {
+// objectiveBench measures sparse Φ_s evaluation on the paper-scale
+// workload: with warm, on the persistent delay cache (cycling unchanged
+// sessions, so it isolates what the cache saves on the once-per-hop
+// BeginSession term), otherwise with the cache off (per-call delay-base
+// rebuild).
+func objectiveBench(seed int64, warm bool) (testing.BenchmarkResult, int, error) {
 	wl := workload.LargeScale(seed)
 	wl.NumUsers = 40
 	wl.NumUserNodes = 64
@@ -167,8 +163,8 @@ func objectiveBench(seed int64, mode objectiveMode) (testing.BenchmarkResult, in
 	}
 	sessions := sc.NumSessions()
 	scr := ev.NewScratch()
-	scr.SetDelayCacheEnabled(mode == objectiveWarm)
-	if mode == objectiveWarm {
+	scr.SetDelayCacheEnabled(warm)
+	if warm {
 		for s := 0; s < sessions; s++ {
 			_ = ev.BeginSession(a, model.SessionID(s), scr).Phi
 		}
@@ -176,12 +172,7 @@ func objectiveBench(seed int64, mode objectiveMode) (testing.BenchmarkResult, in
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := model.SessionID(i % sessions)
-			if mode == objectiveDense {
-				_ = ev.SessionObjective(a, s)
-			} else {
-				_ = ev.BeginSession(a, s, scr).Phi
-			}
+			_ = ev.BeginSession(a, model.SessionID(i%sessions), scr).Phi
 		}
 	})
 	return res, sc.NumAgents(), nil
@@ -189,7 +180,7 @@ func objectiveBench(seed int64, mode objectiveMode) (testing.BenchmarkResult, in
 
 // orchestratorBench measures the per-event hot path of the online churn
 // orchestrator (admission + sharded incremental re-optimization).
-func orchestratorBench(seed int64, dense bool) (testing.BenchmarkResult, int, error) {
+func orchestratorBench(seed int64) (testing.BenchmarkResult, int, error) {
 	sc, err := vconf.GenerateWorkload(vconf.PrototypeWorkload(seed))
 	if err != nil {
 		return testing.BenchmarkResult{}, 0, err
@@ -208,9 +199,7 @@ func orchestratorBench(seed int64, dense bool) (testing.BenchmarkResult, int, er
 	if err != nil {
 		return testing.BenchmarkResult{}, 0, err
 	}
-	cfg := vconf.DefaultOrchestratorConfig(seed)
-	cfg.Core.DenseEval = dense
-	orc, err := solver.NewOrchestrator(cfg)
+	orc, err := solver.NewOrchestrator(vconf.DefaultOrchestratorConfig(seed))
 	if err != nil {
 		return testing.BenchmarkResult{}, 0, err
 	}
@@ -306,22 +295,16 @@ func shardSweepStack(fleetAgents int, seed int64) (*cost.Evaluator, core.Bootstr
 // runShardSweep measures OrchestratorEvent throughput (full churn events
 // per wall second, admission + re-optimization barrier included) as a
 // function of the orchestrator's shard count: n solver workers over an
-// n-stripe capacity ledger. The 1-shard point runs the legacy single-lock
-// commit path — one worker, one global commit mutex, the pre-subsystem
-// configuration that the sharded P=1 pipeline is proven bit-identical to.
-// A final reference point re-runs the single-lock backend at the maximum
-// worker count, so the curve separates worker scaling from what the
-// stripe pipeline itself contributes (the striped-vs-single-lock speedup
-// at equal workers). Fleet and schedule are identical across points.
+// n-stripe capacity ledger. Fleet and schedule are identical across points.
 func runShardSweep(shardCounts []int, fleetAgents int, seed int64, sink *telemetry.Sink) ([]shardSweepPoint, error) {
 	ev, boot, events, err := shardSweepStack(fleetAgents, seed)
 	if err != nil {
 		return nil, err
 	}
-	run := func(name string, workers, ledgerShards, shardsLabel int) (shardSweepPoint, error) {
+	run := func(name string, shards int) (shardSweepPoint, error) {
 		cfg := orchestrator.DefaultConfig(seed)
-		cfg.Shards = workers
-		cfg.LedgerShards = ledgerShards
+		cfg.Shards = shards
+		cfg.LedgerShards = shards
 		cfg.HopBudget = 8
 		cfg.MaxReoptSessions = 16
 		cfg.Core.NeighborWindow = 4
@@ -346,8 +329,8 @@ func runShardSweep(shardCounts []int, fleetAgents int, seed int64, sink *telemet
 			if eps > best.EventsPerSec {
 				best = shardSweepPoint{
 					Name:         name,
-					Shards:       shardsLabel,
-					Workers:      workers,
+					Shards:       shards,
+					Workers:      shards,
 					Agents:       fleetAgents,
 					Events:       st.Events,
 					EventsPerSec: eps,
@@ -361,26 +344,14 @@ func runShardSweep(shardCounts []int, fleetAgents int, seed int64, sink *telemet
 		}
 		return best, nil
 	}
-	points := make([]shardSweepPoint, 0, len(shardCounts)+1)
+	points := make([]shardSweepPoint, 0, len(shardCounts))
 	for _, shards := range shardCounts {
-		ledger := shards
-		if shards == 1 {
-			ledger = -1 // legacy single-lock path (≡ sharded P=1)
-		}
-		pt, err := run(fmt.Sprintf("OrchestratorEvent/shards=%d", shards), shards, ledger, shards)
+		pt, err := run(fmt.Sprintf("OrchestratorEvent/shards=%d", shards), shards)
 		if err != nil {
 			return nil, err
 		}
 		points = append(points, pt)
 	}
-	// Lock-isolation reference: single global commit lock at the sweep's
-	// maximum worker count.
-	maxW := shardCounts[len(shardCounts)-1]
-	ref, err := run(fmt.Sprintf("OrchestratorEvent/single-lock-%dworkers", maxW), maxW, -1, 1)
-	if err != nil {
-		return nil, err
-	}
-	points = append(points, ref)
 	return points, nil
 }
 
@@ -391,44 +362,32 @@ func runMicro(w io.Writer, format string, fleetAgents int, seed int64, meta runM
 		GeneratedBy:   "vcbench -run micro",
 		SchemaVersion: benchSchemaVersion,
 		Meta:          meta,
-		Description: "Hop-pipeline hot paths (dense reference vs sparse pipeline, and the persistent " +
-			"per-session delay cache vs the per-hop delay-base rebuild: HopSession/warm-hop runs the " +
+		Description: "Hop-pipeline hot paths (the sparse HopSession, Φ_s evaluation and orchestrator event, and the " +
+			"persistent per-session delay cache vs the per-hop delay-base rebuild: HopSession/warm-hop runs the " +
 			"N_ngbr=1 windowed chain where each hop's BeginSession is a pure warm hit re-synchronized by " +
-			"the previous commit, and SessionObjective/warm evaluates unchanged sessions) plus the sharded-ledger " +
-			"orchestrator sweep: events/sec vs shard count, where n shards = n solver workers over an " +
-			"n-stripe capacity ledger and n=1 is the legacy single-lock commit path (bit-identical to " +
-			"sharded P=1). Wall-clock scaling is bounded by hardware_parallel_ceiling — on shared-vCPU " +
+			"the previous commit, HopSession/rebuild-hop the same chain with the scratch's delay cache off, and " +
+			"SessionObjective/warm evaluates unchanged sessions) plus the sharded-ledger orchestrator sweep: " +
+			"events/sec vs shard count, where n shards = n solver workers over an n-stripe capacity ledger. " +
+			"Wall-clock scaling is bounded by hardware_parallel_ceiling — on shared-vCPU " +
 			"hosts that ceiling sits well below the vCPU count, so judge the sweep by its parallel " +
 			"efficiency (scaling/ceiling), not by the shard count.",
 		Speedups: map[string]float64{},
 	}
-	add := func(family string, agents int, denseRes, sparseRes testing.BenchmarkResult) {
-		d := record(family+"/dense", agents, denseRes)
-		s := record(family+"/sparse", agents, sparseRes)
-		rep.Benchmarks = append(rep.Benchmarks, d, s)
-		if s.NsPerOp > 0 {
-			rep.Speedups[family] = d.NsPerOp / s.NsPerOp
-		}
-	}
 
-	hopDense, err := hopBench(fleetAgents, seed, true, false, 0)
-	if err != nil {
-		return fmt.Errorf("micro: hop dense: %w", err)
-	}
-	hopSparse, err := hopBench(fleetAgents, seed, false, false, 0)
+	hopSparse, err := hopBench(fleetAgents, seed, false, 0)
 	if err != nil {
 		return fmt.Errorf("micro: hop sparse: %w", err)
 	}
-	add("HopSession", fleetAgents, hopDense, hopSparse)
+	rep.Benchmarks = append(rep.Benchmarks, record("HopSession/sparse", fleetAgents, hopSparse))
 
 	// Warm-hop acceptance series: the N_ngbr = 1 windowed chain, persistent
 	// delay cache vs per-hop delay-base rebuild — the BeginSession term the
 	// cache removes is a large share of a windowed hop.
-	hopRebuild, err := hopBench(fleetAgents, seed, false, true, 1)
+	hopRebuild, err := hopBench(fleetAgents, seed, true, 1)
 	if err != nil {
 		return fmt.Errorf("micro: hop rebuild: %w", err)
 	}
-	hopWarm, err := hopBench(fleetAgents, seed, false, false, 1)
+	hopWarm, err := hopBench(fleetAgents, seed, false, 1)
 	if err != nil {
 		return fmt.Errorf("micro: hop warm: %w", err)
 	}
@@ -439,34 +398,26 @@ func runMicro(w io.Writer, format string, fleetAgents int, seed int64, meta runM
 		rep.Speedups["HopSession/warm-hop"] = rb.NsPerOp / wm.NsPerOp
 	}
 
-	objDense, agents, err := objectiveBench(seed, objectiveDense)
-	if err != nil {
-		return fmt.Errorf("micro: objective dense: %w", err)
-	}
-	objSparse, _, err := objectiveBench(seed, objectiveSparse)
+	objSparse, agents, err := objectiveBench(seed, false)
 	if err != nil {
 		return fmt.Errorf("micro: objective sparse: %w", err)
 	}
-	add("SessionObjective", agents, objDense, objSparse)
-	objWarm, _, err := objectiveBench(seed, objectiveWarm)
+	sp := record("SessionObjective/sparse", agents, objSparse)
+	objWarm, _, err := objectiveBench(seed, true)
 	if err != nil {
 		return fmt.Errorf("micro: objective warm: %w", err)
 	}
 	ow := record("SessionObjective/warm", agents, objWarm)
-	rep.Benchmarks = append(rep.Benchmarks, ow)
-	if sparseNs := float64(objSparse.T.Nanoseconds()) / float64(objSparse.N); ow.NsPerOp > 0 {
-		rep.Speedups["SessionObjective/warm"] = sparseNs / ow.NsPerOp
+	rep.Benchmarks = append(rep.Benchmarks, sp, ow)
+	if ow.NsPerOp > 0 {
+		rep.Speedups["SessionObjective/warm"] = sp.NsPerOp / ow.NsPerOp
 	}
 
-	orcDense, agents, err := orchestratorBench(seed, true)
+	orcSparse, agents, err := orchestratorBench(seed)
 	if err != nil {
-		return fmt.Errorf("micro: orchestrator dense: %w", err)
+		return fmt.Errorf("micro: orchestrator: %w", err)
 	}
-	orcSparse, _, err := orchestratorBench(seed, false)
-	if err != nil {
-		return fmt.Errorf("micro: orchestrator sparse: %w", err)
-	}
-	add("OrchestratorEvent", agents, orcDense, orcSparse)
+	rep.Benchmarks = append(rep.Benchmarks, record("OrchestratorEvent/sparse", agents, orcSparse))
 
 	shardCounts := []int{1, 2, 4, 8}
 	sweepAgents := fleetAgents
@@ -479,17 +430,12 @@ func runMicro(w io.Writer, format string, fleetAgents int, seed int64, meta runM
 	}
 	rep.ShardSweep = sweep
 	rep.HardwareParallelCeiling = measureParallelCeiling()
-	if n := len(shardCounts); len(sweep) > n && sweep[0].EventsPerSec > 0 {
-		maxPt, refPt := sweep[n-1], sweep[n] // max-shards point, single-lock-at-max-workers reference
-		scaling := maxPt.EventsPerSec / sweep[0].EventsPerSec
+	if sweep[0].EventsPerSec > 0 {
+		scaling := sweep[len(sweep)-1].EventsPerSec / sweep[0].EventsPerSec
 		rep.Speedups["OrchestratorEvent/shards"] = scaling
 		if rep.HardwareParallelCeiling > 0 {
 			rep.Speedups["OrchestratorEvent/shards-parallel-efficiency"] =
 				scaling / rep.HardwareParallelCeiling
-		}
-		if refPt.EventsPerSec > 0 {
-			rep.Speedups["OrchestratorEvent/striped-vs-single-lock"] =
-				maxPt.EventsPerSec / refPt.EventsPerSec
 		}
 	}
 

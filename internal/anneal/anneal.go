@@ -39,11 +39,6 @@ type AnnealConfig struct {
 	T0   float64
 	TEnd float64
 	Seed int64
-	// RebuildDelayBase disables the persistent per-session delay cache the
-	// proposal chain reuses across iterations (see cost.DelayCache) and
-	// rebuilds the full delay base on every BeginSession instead. The two
-	// paths are bit-identical; the flag exists for differential testing.
-	RebuildDelayBase bool
 }
 
 // DefaultAnnealConfig returns a schedule sized for workloads of a few
@@ -65,7 +60,18 @@ func (c AnnealConfig) validate() error {
 // SimulatedAnnealing runs Metropolis acceptance over the single-variable
 // neighbor structure, starting from a complete feasible assignment. The
 // returned assignment is the best feasible state visited.
+//
+// One evaluation scratch serves the whole run: its per-session delay cache
+// persists across the chain, so a proposal for a session whose variables
+// did not move since its last evaluation skips the delay-base rebuild
+// entirely, and an accepted move patches only the moved flows. No
+// per-iteration allocations either way.
 func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg AnnealConfig) (*Result, error) {
+	return simulatedAnnealing(ev, start, cfg, ev.NewScratch())
+}
+
+// simulatedAnnealing is SimulatedAnnealing on a caller-owned scratch.
+func simulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg AnnealConfig, scr *cost.Scratch) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -92,13 +98,6 @@ func SimulatedAnnealing(ev *cost.Evaluator, start *assign.Assignment, cfg Anneal
 	cooling := math.Pow(cfg.TEnd/cfg.T0, 1/float64(cfg.Iterations))
 	temp := cfg.T0
 
-	// One evaluation scratch serves the whole run: its per-session delay
-	// cache persists across the chain, so a proposal for a session whose
-	// variables did not move since its last evaluation skips the delay-base
-	// rebuild entirely, and an accepted move patches only the moved flows.
-	// No per-iteration allocations either way.
-	scr := ev.NewScratch()
-	scr.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
 	var decisions []assign.Decision
 
 	// Base-feasibility invariant: removing a session's (non-negative) load
@@ -169,9 +168,6 @@ type GreedyConfig struct {
 	// MaxRounds bounds full sweeps over all sessions (descent usually
 	// terminates earlier at a local optimum).
 	MaxRounds int
-	// RebuildDelayBase disables the persistent per-session delay cache the
-	// descent reuses across rounds; see AnnealConfig.RebuildDelayBase.
-	RebuildDelayBase bool
 }
 
 // DefaultGreedyConfig allows enough rounds for convergence on the paper's
@@ -181,7 +177,17 @@ func DefaultGreedyConfig() GreedyConfig { return GreedyConfig{MaxRounds: 100} }
 // GreedyDescent repeatedly applies, per session, the feasible
 // single-variable move with the largest objective improvement, until no
 // session can improve (a local optimum of the neighborhood).
+//
+// One scratch serves the descent; its delay cache keeps each session's base
+// warm across rounds (a session that did not improve last round
+// re-evaluates in O(signature compare), and an applied best move patches
+// only its own flows next round).
 func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfig) (*Result, error) {
+	return greedyDescent(ev, start, cfg, ev.NewScratch())
+}
+
+// greedyDescent is GreedyDescent on a caller-owned scratch.
+func greedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfig, scr *cost.Scratch) (*Result, error) {
 	if cfg.MaxRounds < 1 {
 		return nil, fmt.Errorf("anneal: max rounds must be positive")
 	}
@@ -198,12 +204,6 @@ func GreedyDescent(ev *cost.Evaluator, start *assign.Assignment, cfg GreedyConfi
 	}
 
 	res := &Result{}
-	// One scratch serves the descent; its delay cache keeps each session's
-	// base warm across rounds (a session that did not improve last round
-	// re-evaluates in O(signature compare), and an applied best move
-	// patches only its own flows next round).
-	scr := ev.NewScratch()
-	scr.SetDelayCacheEnabled(!cfg.RebuildDelayBase)
 	var decisions []assign.Decision
 	for round := 0; round < cfg.MaxRounds; round++ {
 		improvedAny := false

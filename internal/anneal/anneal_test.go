@@ -275,20 +275,24 @@ func tinyScenario(rng *rand.Rand) *model.Scenario {
 
 // TestAnnealDelayCacheBitIdentical replays SA and greedy descent with the
 // persistent delay cache (default) and with the per-iteration delay-base
-// rebuild: identical seeds must walk identical chains — same accepted-move
-// counts, same objective bits, same final assignment.
+// rebuild (a scratch with its delay cache switched off): identical seeds
+// must walk identical chains — same accepted-move counts, same objective
+// bits, same final assignment.
 func TestAnnealDelayCacheBitIdentical(t *testing.T) {
 	ev, start := smallScenario(t, 5)
+	rebuildScratch := func() *cost.Scratch {
+		scr := ev.NewScratch()
+		scr.SetDelayCacheEnabled(false)
+		return scr
+	}
 
-	cached := DefaultAnnealConfig(5)
-	cached.Iterations = 3000
-	rebuild := cached
-	rebuild.RebuildDelayBase = true
-	resC, err := SimulatedAnnealing(ev, start, cached)
+	cfg := DefaultAnnealConfig(5)
+	cfg.Iterations = 3000
+	resC, err := SimulatedAnnealing(ev, start, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resR, err := SimulatedAnnealing(ev, start, rebuild)
+	resR, err := simulatedAnnealing(ev, start, cfg, rebuildScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +309,7 @@ func TestAnnealDelayCacheBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gR, err := GreedyDescent(ev, start, GreedyConfig{MaxRounds: 50, RebuildDelayBase: true})
+	gR, err := greedyDescent(ev, start, GreedyConfig{MaxRounds: 50}, rebuildScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

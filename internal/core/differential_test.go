@@ -12,9 +12,9 @@ import (
 // The sparse hop pipeline must be bit-identical to the dense reference: for
 // a fixed seed and noiseless config, both enumerate the same feasible
 // candidate sets with the same weights and therefore pick the same hop
-// sequence. These tests replay whole engine runs under Config.DenseEval
-// true/false across several scenario shapes and compare every decision,
-// every sample, and the final assignment.
+// sequence. These tests replay whole engine runs on the dense reference
+// (useDense) and on the sparse pipeline across several scenario shapes and
+// compare every decision, every sample, and the final assignment.
 
 // hopTrace records one hop observation for cross-path comparison.
 type hopTrace struct {
@@ -23,15 +23,26 @@ type hopTrace struct {
 	res     HopResult
 }
 
+// useDense switches an engine onto the dense reference hop.
+func useDense(e *Engine) { e.path = densePath }
+
+// useRebuild switches off the engine scratch's persistent delay cache, so
+// every hop rebuilds the session's full delay base.
+func useRebuild(e *Engine) { e.scratch.Eval().SetDelayCacheEnabled(false) }
+
 // runDifferential drives one engine over the scenario and returns the hop
-// trace, the samples, and the final assignment.
-func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS float64,
+// trace, the samples, and the final assignment. ref, when non-nil, switches
+// the fresh engine onto a reference path before the first event.
+func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, ref func(e *Engine), untilS float64,
 	degrade func(e *Engine)) ([]hopTrace, []Sample, *assign.Assignment) {
 	t.Helper()
 	ev := newEval(t, sc)
 	eng, err := NewEngine(ev, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ref != nil {
+		ref(eng)
 	}
 	var trace []hopTrace
 	eng.OnHop = func(timeS float64, s model.SessionID, r HopResult) {
@@ -60,29 +71,20 @@ func runDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS float6
 
 // compareDifferential asserts that the dense reference, the sparse pipeline
 // with its persistent delay cache (the production default), and the sparse
-// pipeline with the per-hop delay-base rebuild (Config.RebuildDelayBase)
-// replay identical runs.
+// pipeline with the per-hop delay-base rebuild (useRebuild) replay
+// identical runs.
 func compareDifferential(t *testing.T, sc *model.Scenario, cfg Config, untilS float64,
 	degrade func(e *Engine)) {
 	t.Helper()
-	dense := cfg
-	dense.DenseEval = true
-	cached := cfg
-	cached.DenseEval = false
-	cached.RebuildDelayBase = false
-	rebuild := cfg
-	rebuild.DenseEval = false
-	rebuild.RebuildDelayBase = true
-
-	dTrace, dSamples, dFinal := runDifferential(t, sc, dense, untilS, degrade)
+	dTrace, dSamples, dFinal := runDifferential(t, sc, cfg, useDense, untilS, degrade)
 	if len(dTrace) == 0 {
 		t.Fatal("dense run produced no hops; differential comparison is vacuous")
 	}
 	for _, variant := range []struct {
 		name string
-		cfg  Config
-	}{{"sparse-cached", cached}, {"sparse-rebuild", rebuild}} {
-		sTrace, sSamples, sFinal := runDifferential(t, sc, variant.cfg, untilS, degrade)
+		ref  func(e *Engine)
+	}{{"sparse-cached", nil}, {"sparse-rebuild", useRebuild}} {
+		sTrace, sSamples, sFinal := runDifferential(t, sc, cfg, variant.ref, untilS, degrade)
 		compareRuns(t, variant.name, dTrace, dSamples, dFinal, sTrace, sSamples, sFinal)
 	}
 }
@@ -186,11 +188,14 @@ func TestDifferentialSparseDenseExactCTMC(t *testing.T) {
 // must replay identical runs.
 func TestDifferentialDelayCacheChurn(t *testing.T) {
 	sc := multiScenario(t, 6)
-	run := func(cfg Config) ([]hopTrace, []Sample, *assign.Assignment) {
+	run := func(ref func(e *Engine)) ([]hopTrace, []Sample, *assign.Assignment) {
 		ev := newEval(t, sc)
-		eng, err := NewEngine(ev, cfg)
+		eng, err := NewEngine(ev, DefaultConfig(29))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ref != nil {
+			ref(eng)
 		}
 		var trace []hopTrace
 		eng.OnHop = func(timeS float64, s model.SessionID, r HopResult) {
@@ -215,11 +220,8 @@ func TestDifferentialDelayCacheChurn(t *testing.T) {
 		}
 		return trace, samples, eng.Assignment()
 	}
-	cached := DefaultConfig(29)
-	rebuild := DefaultConfig(29)
-	rebuild.RebuildDelayBase = true
-	cTrace, cSamples, cFinal := run(cached)
-	rTrace, rSamples, rFinal := run(rebuild)
+	cTrace, cSamples, cFinal := run(nil)
+	rTrace, rSamples, rFinal := run(useRebuild)
 	compareRuns(t, "cached-vs-rebuild-churn", rTrace, rSamples, rFinal, cTrace, cSamples, cFinal)
 }
 

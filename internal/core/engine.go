@@ -23,6 +23,8 @@ type Engine struct {
 	a      *assign.Assignment
 	ledger *cost.Ledger
 	rng    *rand.Rand
+	// path runs the hops and ExactCTMC rate queries (sparsePath).
+	path hopPath
 	// scratch carries the reusable hop/eval buffers: the engine is
 	// single-threaded, so one scratch serves hops, rate queries, session
 	// deactivation, and snapshot reporting.
@@ -40,6 +42,20 @@ type Engine struct {
 	// traces, Fig. 7).
 	OnHop func(timeS float64, s model.SessionID, r HopResult)
 }
+
+// hopPath is the HOP implementation an engine runs: one hop of Alg. 1 and
+// the ExactCTMC total-rate query. NewEngine binds sparsePath; the field
+// exists so the package's differential tests can bind the dense reference
+// instead and replay the same run through it.
+type hopPath struct {
+	hop func(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger,
+		cfg Config, rng *rand.Rand, scr *HopScratch) (HopResult, error)
+	rate func(a *assign.Assignment, s model.SessionID, ev *cost.Evaluator, ledger *cost.Ledger,
+		cfg Config, scr *HopScratch) (float64, error)
+}
+
+// sparsePath is the production hop implementation.
+var sparsePath = hopPath{hop: HopSessionWith, rate: SessionTotalRateWith}
 
 type eventKind int
 
@@ -92,13 +108,10 @@ func NewEngine(ev *cost.Evaluator, cfg Config) (*Engine, error) {
 		a:       assign.New(sc),
 		ledger:  cost.NewLedger(sc),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		path:    sparsePath,
 		scratch: NewHopScratch(ev),
 		active:  make(map[model.SessionID]bool, sc.NumSessions()),
 	}
-	// The engine-owned scratch serves hops, rate queries, deactivation and
-	// snapshot reporting: its per-session delay cache stays warm across all
-	// of them unless the reference rebuild path is selected.
-	e.scratch.Eval().SetDelayCacheEnabled(!cfg.RebuildDelayBase)
 	return e, nil
 }
 
@@ -195,7 +208,7 @@ func (e *Engine) push(ev event) {
 func (e *Engine) scheduleHop(s model.SessionID) {
 	rate := 0.0
 	if e.cfg.Mode == ExactCTMC {
-		r, err := SessionTotalRateWith(e.a, s, e.ev, e.ledger, e.cfg, e.scratch)
+		r, err := e.path.rate(e.a, s, e.ev, e.ledger, e.cfg, e.scratch)
 		if err == nil {
 			rate = r
 		}
@@ -249,7 +262,7 @@ func (e *Engine) Run(untilS, sampleEveryS float64) ([]Sample, error) {
 			if !e.active[ev.session] || ev.epoch != e.epochOf(ev.session) {
 				continue // stale event from a departed generation
 			}
-			res, err := HopSessionWith(e.a, ev.session, e.ev, e.ledger, e.cfg, e.rng, e.scratch)
+			res, err := e.path.hop(e.a, ev.session, e.ev, e.ledger, e.cfg, e.rng, e.scratch)
 			if err != nil {
 				return samples, fmt.Errorf("core: hop session %d: %w", ev.session, err)
 			}

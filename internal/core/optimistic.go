@@ -122,12 +122,11 @@ func (oe *OptimisticParallel) runSession(ctx context.Context, s model.SessionID,
 // the protocol — evaluate off-lock against a stable view).
 func (oe *OptimisticParallel) attemptHop(s model.SessionID, rng *rand.Rand, scr *HopScratch) error {
 	scr.ensure(oe.ev)
-	es := scr.Eval()
 	// The snapshot is a fresh clone every hop, but the delay cache's
 	// signatures compare variable values, not assignment identity — so the
 	// per-goroutine cache stays warm across clones when the session's own
 	// variables did not move.
-	es.SetDelayCacheEnabled(!oe.cfg.RebuildDelayBase)
+	es := scr.Eval()
 
 	// ---- snapshot (read lock) ----
 	oe.mu.RLock()

@@ -34,8 +34,9 @@ package cost
 // re-arrival (the engines and the orchestrator invalidate there, under
 // their existing state locks), and scenario rebinding (Scratch.Ensure
 // drops the cache wholesale). A cold or invalidated entry falls back to
-// the full rebuild, which is kept verbatim (and selectable everywhere via
-// core.Config.RebuildDelayBase for differential testing).
+// the full rebuild, which is kept verbatim; switching a scratch's cache
+// off (Scratch.SetDelayCacheEnabled) selects it on every call, which is how
+// the differential tests run their rebuild reference.
 //
 // Exactness: patched entries are recomputed by the same pure FlowDelayMS
 // on the same inputs a full rebuild would use, unchanged entries are

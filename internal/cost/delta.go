@@ -92,9 +92,8 @@ func (c *ObjectiveCache) SetActive(s model.SessionID, on bool) {
 func (c *ObjectiveCache) Active(s model.SessionID) bool { return c.active[s] }
 
 // SetDelayCacheEnabled toggles the persistent delay cache on the cache's
-// internal refresh scratch — control planes thread their rebuild-reference
-// config bit (core.Config.RebuildDelayBase) through here so disabling the
-// cache really disables it on every evaluation path, refreshes included.
+// internal refresh scratch, so a rebuild reference run can disable the
+// cache on every evaluation path it owns, refreshes included.
 func (c *ObjectiveCache) SetDelayCacheEnabled(on bool) { c.scr.SetDelayCacheEnabled(on) }
 
 // ActiveSessions returns the active session IDs in ascending order.

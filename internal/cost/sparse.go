@@ -335,8 +335,9 @@ func (scr *Scratch) Ensure(e *Evaluator) {
 // SetDelayCacheEnabled toggles the persistent per-session delay cache. On
 // (the default) BeginSession reuses and patches cached delay state; off,
 // it rebuilds the full delay base every call — the pre-cache reference
-// path, selected by core.Config.RebuildDelayBase. Warm entries survive a
-// disable/re-enable round trip (their signatures re-validate them).
+// path the differential tests and the rebuild benchmarks switch on by
+// disabling the scratch they own. Warm entries survive a disable/re-enable
+// round trip (their signatures re-validate them).
 func (scr *Scratch) SetDelayCacheEnabled(on bool) { scr.dcOff = !on }
 
 // InvalidateDelay marks session s's delay-cache entry cold, if a cache
@@ -593,7 +594,7 @@ func (e *Evaluator) BeginSession(a *assign.Assignment, s model.SessionID, scr *S
 	}
 
 	// Rebuild reference path (pre-cache), kept verbatim behind
-	// core.Config.RebuildDelayBase / SetDelayCacheEnabled(false).
+	// SetDelayCacheEnabled(false).
 	e.p.sessionLoadSparse(a, s, &scr.cur, scr)
 	if cap(scr.ownBase) < n*n {
 		scr.ownBase = make([]float64, n*n)

@@ -14,7 +14,7 @@ import (
 // TestDelayCacheBitIdenticalOrchestrator is the orchestrator-level
 // warm-vs-rebuild differential: identical churn schedules replayed with the
 // persistent delay cache (default) and with the per-hop delay-base rebuild
-// (Core.RebuildDelayBase) must produce bit-identical final assignments,
+// (useRebuild) must produce bit-identical final assignments,
 // objective bits and activity counters across the orchestrator's engine
 // shapes — single-lock, sharded, windowed (route-restricted snapshots), and
 // pipelined. Commit-driven invalidation is exactly what the warm path must
@@ -24,14 +24,14 @@ func TestDelayCacheBitIdenticalOrchestrator(t *testing.T) {
 	cases := []struct {
 		name string
 		tune func(cfg *Config)
+		ref  []func(*Orchestrator)
 		wl   func() workload.Config
 	}{
-		{"single-lock", func(cfg *Config) {
-			cfg.LedgerShards = -1
-		}, func() workload.Config { return workload.Prototype(61) }},
+		{"single-lock", func(cfg *Config) {}, []func(*Orchestrator){useSingleLock},
+			func() workload.Config { return workload.Prototype(61) }},
 		{"sharded", func(cfg *Config) {
 			cfg.LedgerShards = 1
-		}, func() workload.Config {
+		}, nil, func() workload.Config {
 			wl := workload.Prototype(62)
 			wl.MeanBandwidthMbps = 220
 			wl.MeanTranscodeSlots = 6
@@ -40,27 +40,24 @@ func TestDelayCacheBitIdenticalOrchestrator(t *testing.T) {
 		{"windowed", func(cfg *Config) {
 			cfg.LedgerShards = 1
 			cfg.Core.NeighborWindow = 3
-		}, func() workload.Config { return workload.Prototype(63) }},
+		}, nil, func() workload.Config { return workload.Prototype(63) }},
 		{"pipelined", func(cfg *Config) {
 			cfg.LedgerShards = 1
 			cfg.Core.NeighborWindow = 3
 			cfg.Pipeline = true
 			cfg.MaxInFlight = 1
-		}, func() workload.Config { return workload.Prototype(64) }},
+		}, nil, func() workload.Config { return workload.Prototype(64) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ev, _ := testStack(t, tc.wl())
 			events := churn(t, ev, 65, 300, 0.1, 90)
 
-			cached := DefaultConfig(65)
-			cached.Shards = 1
-			tc.tune(&cached)
-			encC, phiC, stC := runSchedule(t, tc.wl(), events, cached)
-
-			rebuild := cached
-			rebuild.Core.RebuildDelayBase = true
-			encR, phiR, stR := runSchedule(t, tc.wl(), events, rebuild)
+			cfg := DefaultConfig(65)
+			cfg.Shards = 1
+			tc.tune(&cfg)
+			encC, phiC, stC := runSchedule(t, tc.wl(), events, cfg, tc.ref...)
+			encR, phiR, stR := runSchedule(t, tc.wl(), events, cfg, append(tc.ref, useRebuild)...)
 
 			if encC != encR {
 				t.Fatal("cached and rebuild delay paths diverged in the final assignment")

@@ -97,7 +97,8 @@ func chaosSchedule(t testing.TB, seed int64, fc workload.FleetConfig, homes []in
 
 // runChaos drives one fresh orchestrator over a merged churn+fault schedule
 // against a fresh copy of the regional fleet.
-func runChaos(t *testing.T, fc workload.FleetConfig, events []workload.Event, cfg Config) (string, float64, Stats) {
+func runChaos(t *testing.T, fc workload.FleetConfig, events []workload.Event, cfg Config,
+	refs ...func(*Orchestrator)) (string, float64, Stats) {
 	t.Helper()
 	ev, boot, _ := chaosStack(t, fc)
 	o, err := New(ev, boot, cfg)
@@ -105,6 +106,9 @@ func runChaos(t *testing.T, fc workload.FleetConfig, events []workload.Event, cf
 		t.Fatal(err)
 	}
 	defer o.Close()
+	for _, ref := range refs {
+		ref(o)
+	}
 	if _, err := o.Run(events, 1e18); err != nil {
 		t.Fatal(err)
 	}
@@ -146,19 +150,20 @@ func TestFaultDifferentialAllPaths(t *testing.T) {
 	paths := []struct {
 		name string
 		tune func(cfg *Config)
+		ref  []func(*Orchestrator)
 	}{
-		{"serial-rerun", func(cfg *Config) {}},
-		{"single-lock", func(cfg *Config) { cfg.LedgerShards = -1 }},
+		{"serial-rerun", func(cfg *Config) {}, nil},
+		{"single-lock", func(cfg *Config) {}, []func(*Orchestrator){useSingleLock}},
 		{"pipelined", func(cfg *Config) {
 			cfg.Pipeline = true
 			cfg.MaxInFlight = 1
-		}},
+		}, nil},
 	}
 	for _, tc := range paths {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := chaosConfig(41, fc)
 			tc.tune(&cfg)
-			enc, phi, st := runChaos(t, fc, events, cfg)
+			enc, phi, st := runChaos(t, fc, events, cfg, tc.ref...)
 			if enc != encWant {
 				t.Fatal("final assignment diverged from the serial reference")
 			}
@@ -268,9 +273,7 @@ func TestDelayCacheFaultDifferential(t *testing.T) {
 				t.Fatalf("schedule exercised no healing: %+v", stC)
 			}
 
-			rebuild := cached
-			rebuild.Core.RebuildDelayBase = true
-			encR, phiR, stR := runChaos(t, fc, events, rebuild)
+			encR, phiR, stR := runChaos(t, fc, events, cached, useRebuild)
 
 			if encC != encR {
 				t.Fatal("cached and rebuild delay paths diverged under faults")

@@ -32,9 +32,7 @@
 //     fresh snapshot a bounded number of times. Delay and
 //     objective-improvement guards don't need locking at all: Φ_s depends
 //     only on session s's own variables, and a session is owned by at most
-//     one task per event. Config.LedgerShards < 0 selects the legacy
-//     single-lock commit path instead (bit-identical at P = 1), kept for
-//     differential tests and before/after benchmarks.
+//     one task per event.
 //  4. Accepted proposals become data-plane migrations: when a
 //     confsim.Runtime is attached, every committed decision runs the
 //     dual-feed protocol (§V-A), so re-optimization never interrupts
@@ -69,21 +67,11 @@ type Config struct {
 	// Shards is the solver pool size (worker goroutines). Defaults to
 	// GOMAXPROCS.
 	Shards int
-	// LedgerShards selects the capacity-ledger backend and its stripe
-	// count. 0 (default) runs the lock-striped shard pipeline
-	// (internal/shard) with one ID-range shard per worker; a positive value
-	// fixes the shard count explicitly (clamped to the agent count); -1
-	// selects the legacy single-lock commit path (snapshot and commit both
-	// serialize on one mutex), kept for differential testing and
-	// before/after benchmarks. The P=1 sharded pipeline is bit-identical to
-	// the single-lock path.
+	// LedgerShards is the stripe count of the lock-striped capacity ledger
+	// (internal/shard). 0 (default) uses one ID-range shard per worker; a
+	// positive value fixes the shard count explicitly (clamped to the agent
+	// count).
 	LedgerShards int
-	// CommitRetries bounds how many times a worker re-snapshots and
-	// re-walks after losing a cross-shard commit race (shard.Conflict).
-	// 0 defaults to 2; -1 disables retries entirely (every conflict
-	// becomes a reject — useful for bounding worst-case task latency and
-	// for measuring raw conflict rates). Sharded backend only.
-	CommitRetries int
 	// HopBudget bounds the Markov refinement walk per re-optimization task.
 	// Defaults to 24 hops.
 	HopBudget int
@@ -99,8 +87,7 @@ type Config struct {
 	// routed ledger stripes) are disjoint, and queue behind the specific
 	// events they conflict with otherwise; reports still retire in arrival
 	// order. False (the default) runs the same stages one event at a time
-	// on the caller's goroutine. Requires the sharded ledger backend
-	// (LedgerShards ≥ 0); with MaxInFlight = 1 the two drivers are
+	// on the caller's goroutine. With MaxInFlight = 1 the two drivers are
 	// bit-identical (differential tests pin it). Public snapshot methods
 	// (Assignment, CheckInvariants, ...) must only be called quiesced:
 	// between HandleEvent calls or after Run returns.
@@ -133,6 +120,11 @@ type Config struct {
 	Telemetry *telemetry.Sink
 }
 
+// commitRetries bounds how many times a worker re-snapshots and re-walks
+// after losing a cross-shard commit race (shard.Conflict) before the task
+// becomes a reject.
+const commitRetries = 2
+
 // DefaultConfig returns the orchestrator defaults over the paper's chain
 // settings.
 func DefaultConfig(seed int64) Config {
@@ -153,24 +145,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ImprovementEps == 0 {
 		c.ImprovementEps = 1e-9
 	}
-	switch {
-	case c.CommitRetries == 0:
-		c.CommitRetries = 2
-	case c.CommitRetries == -1:
-		c.CommitRetries = 0
-	}
 	if c.Shards < 1 || c.HopBudget < 1 || c.MaxReoptSessions < 1 || c.ImprovementEps < 0 {
 		return c, fmt.Errorf("orchestrator: invalid config: shards=%d hops=%d reopt=%d eps=%v",
 			c.Shards, c.HopBudget, c.MaxReoptSessions, c.ImprovementEps)
 	}
-	if c.LedgerShards < -1 || c.CommitRetries < 0 {
-		return c, fmt.Errorf("orchestrator: invalid config: ledger shards=%d commit retries=%d",
-			c.LedgerShards, c.CommitRetries)
+	if c.LedgerShards < 0 {
+		return c, fmt.Errorf("orchestrator: invalid config: ledger shards=%d", c.LedgerShards)
 	}
 	if c.Pipeline {
-		if c.LedgerShards < 0 {
-			return c, fmt.Errorf("orchestrator: Pipeline requires the sharded ledger backend (LedgerShards ≥ 0)")
-		}
 		if c.MaxInFlight == 0 {
 			c.MaxInFlight = c.Shards
 		}
@@ -217,9 +199,10 @@ type Stats struct {
 	ReoptTotal time.Duration
 	ReoptMax   time.Duration
 	// ReoptP50 and ReoptP99 are per-event re-optimization latency
-	// percentiles, estimated from a fixed log-scale histogram (quarter-
-	// octave buckets, so values carry ≈±12% bucket resolution at O(1)
-	// memory regardless of run length).
+	// percentiles over the events that dispatched at least one task,
+	// estimated from a fixed log-scale histogram (quarter-octave buckets,
+	// so values carry ≈±12% bucket resolution at O(1) memory regardless of
+	// run length).
 	ReoptP50 time.Duration
 	ReoptP99 time.Duration
 	// Incidents counts capacity-reducing fault events handled (agent
@@ -288,18 +271,17 @@ type Orchestrator struct {
 	boot core.Bootstrapper
 
 	// mu is the state lock: it guards the cache, touchIdx, stats, runtime
-	// mirror, clock and error slot, plus — in single-lock mode only — every
-	// assignment and ledger access. In sharded mode capacity lives behind
-	// the shard ledger's own stripe locks, and assignment accesses from
-	// workers are serialized by session ownership (see reoptStage), so mu is
-	// held only for brief metadata updates.
+	// mirror, clock and error slot. Capacity lives behind the shard
+	// ledger's own stripe locks, and assignment accesses from workers are
+	// serialized by session ownership (see reoptStage), so mu is held only
+	// for brief metadata updates.
 	mu sync.Mutex
 	a  *assign.Assignment
-	// ledger is the authoritative capacity ledger; exactly one of the two
-	// concrete backends below is non-nil behind it.
+	// ledger is the authoritative capacity ledger that admission, faults
+	// and CheckInvariants use: shl, unless a test put its single-lock
+	// reference ledger there.
 	ledger cost.LedgerAPI
-	dense  *cost.Ledger  // single-lock backend (Config.LedgerShards < 0)
-	shl    *shard.Ledger // lock-striped backend (default)
+	shl    *shard.Ledger
 	// nbrIdx is the proximity index behind Core.NeighborWindow > 0,
 	// shared read-only by workers: it defines each session's candidate
 	// agent set, which lets sharded workers snapshot only the shards their
@@ -339,7 +321,11 @@ type Orchestrator struct {
 	// session's assignment state. CheckInvariants verifies it.
 	touchIdx [][]model.AgentID
 
-	tasks     chan reoptTask
+	tasks chan reoptTask
+	// refine runs one task on a worker (refineSharded). It is a field only
+	// so the package's differential tests can run the workers on their
+	// reference paths; workers read it after receiving each task.
+	refine    func(t reoptTask, w *workerState)
 	closeOnce sync.Once
 	// eventIdx is the next event's index (its task seeds derive from it);
 	// only the submitting goroutine touches it.
@@ -395,23 +381,13 @@ func New(ev *cost.Evaluator, boot core.Bootstrapper, cfg Config) (*Orchestrator,
 		o.agentRegion = cfg.AgentRegion
 		o.regionOut = make([]bool, o.numRegions)
 	}
-	// The commit-path scratch and the objective cache's refresh scratch
-	// (both guarded by o.mu) keep their own per-session delay caches; the
-	// reference rebuild path threads through here too, so RebuildDelayBase
-	// disables the cache on every evaluation path the orchestrator owns.
-	o.scr.SetDelayCacheEnabled(!cfg.Core.RebuildDelayBase)
-	o.cache.SetDelayCacheEnabled(!cfg.Core.RebuildDelayBase)
-	if cfg.LedgerShards < 0 {
-		o.dense = cost.NewLedger(sc)
-		o.ledger = o.dense
-	} else {
-		p := cfg.LedgerShards
-		if p == 0 {
-			p = cfg.Shards
-		}
-		o.shl = shard.New(sc, p)
-		o.ledger = o.shl
+	p := cfg.LedgerShards
+	if p == 0 {
+		p = cfg.Shards
 	}
+	o.shl = shard.New(sc, p)
+	o.ledger = o.shl
+	o.refine = o.refineSharded
 	if w := cfg.Core.NeighborWindow; w > 0 && w < sc.NumAgents() {
 		o.nbrIdx = assign.NewProximityIndex(sc, w)
 	}
@@ -566,10 +542,8 @@ func (o *Orchestrator) emitRecord(st *eventState) {
 		ps := o.pipe.Stats()
 		o.tel.SchedulerStats(ps.AdmissionStalls, ps.ReoptWaits, ps.QueueDepthPeak, ps.InFlightPeak)
 	}
-	if o.shl != nil {
-		ls := o.shl.Stats()
-		o.tel.LedgerStats(ls.Committed, ls.Conflicts, ls.Infeasible)
-	}
+	ls := o.shl.Stats()
+	o.tel.LedgerStats(ls.Committed, ls.Conflicts, ls.Infeasible)
 }
 
 // advanceClock moves orchestrator time monotonically.

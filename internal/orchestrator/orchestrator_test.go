@@ -332,6 +332,11 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("negative shard count accepted")
 	}
 	bad = DefaultConfig(8)
+	bad.LedgerShards = -1
+	if _, err := New(ev, boot, bad); err == nil {
+		t.Fatal("negative ledger shard count accepted")
+	}
+	bad = DefaultConfig(8)
 	bad.Core.Beta = -1
 	if _, err := New(ev, boot, bad); err == nil {
 		t.Fatal("invalid core config accepted")
@@ -346,13 +351,14 @@ func TestCheckInvariantsCommittedAgentsIndex(t *testing.T) {
 	paths := []struct {
 		name string
 		tune func(cfg *Config)
+		ref  func(*Orchestrator)
 	}{
-		{"serial", func(cfg *Config) {}},
-		{"single-lock", func(cfg *Config) { cfg.LedgerShards = -1 }},
+		{"serial", func(cfg *Config) {}, nil},
+		{"single-lock", func(cfg *Config) {}, useSingleLock},
 		{"pipelined", func(cfg *Config) {
 			cfg.Pipeline = true
 			cfg.MaxInFlight = 2
-		}},
+		}, nil},
 	}
 	for _, tc := range paths {
 		t.Run(tc.name, func(t *testing.T) {
@@ -366,6 +372,9 @@ func TestCheckInvariantsCommittedAgentsIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer o.Close()
+			if tc.ref != nil {
+				tc.ref(o)
+			}
 			if _, err := o.Run(events, 200); err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vconf/internal/agrank"
@@ -282,8 +283,8 @@ func TestPipelineConfigValidation(t *testing.T) {
 	bad := DefaultConfig(53)
 	bad.Pipeline = true
 	bad.LedgerShards = -1
-	if _, err := New(ev, boot, bad); err == nil {
-		t.Fatal("pipelined mode over the single-lock backend accepted")
+	if _, err := New(ev, boot, bad); err == nil || !strings.Contains(err.Error(), "invalid config: ledger shards=-1") {
+		t.Fatalf("negative ledger shard count: got %v, want the generic validation error", err)
 	}
 	bad = DefaultConfig(53)
 	bad.Pipeline = true

@@ -87,8 +87,8 @@ func taskSeed(seed int64, s model.SessionID, eventIdx int) int64 {
 }
 
 // workerState is one worker's private buffers: the hop scratch, a dense
-// snapshot ledger with its epoch stamps and commit route (sharded mode),
-// a private assignment the refinement walk mutates, and the proposal
+// snapshot ledger with its epoch stamps and commit route, a private
+// assignment the refinement walk mutates, and the proposal
 // buffers. Everything is reused across tasks, so steady-state refinement
 // allocates nothing beyond the per-task RNG.
 type workerState struct {
@@ -96,8 +96,7 @@ type workerState struct {
 	scr *core.HopScratch
 	// probe is the reused per-task instrumentation scratch (telemetry
 	// enabled only), so enabling the sink adds no per-task allocation.
-	probe taskProbe
-	// Sharded-pipeline state (nil/unused in single-lock mode).
+	probe     taskProbe
 	snap      *cost.Ledger
 	epochs    shard.Epochs
 	route     shard.Route
@@ -186,7 +185,6 @@ func (o *Orchestrator) finishTaskProbe(t reoptTask, w *workerState, probe *taskP
 // worker is one solver shard: it refines tasks until the pool closes. id is
 // the worker's counter-shard index in the telemetry sink.
 func (o *Orchestrator) worker(id int) {
-	w := &workerState{id: id, scr: core.NewHopScratch(o.ev)}
 	// The worker's scratch carries a private per-session delay cache that
 	// stays warm across the hops of one refinement walk (and across tasks,
 	// when the session's variables did not change in between). Entries
@@ -195,19 +193,16 @@ func (o *Orchestrator) worker(id int) {
 	// which rewrite those variables — are picked up as signature mismatches
 	// on the next evaluation; stale state is never reused (see
 	// cost.DelayCache's staleness contract).
-	w.scr.Eval().SetDelayCacheEnabled(!o.cfg.Core.RebuildDelayBase)
-	if o.shl != nil {
-		w.snap = cost.NewLedger(o.sc)
-		w.epochs = make(shard.Epochs, 0, o.shl.NumShards())
-		w.aw = assign.New(o.sc)
-		w.cur = cost.NewSparseLoad(o.sc.NumAgents())
+	w := &workerState{
+		id:     id,
+		scr:    core.NewHopScratch(o.ev),
+		snap:   cost.NewLedger(o.sc),
+		epochs: make(shard.Epochs, 0, o.shl.NumShards()),
+		aw:     assign.New(o.sc),
+		cur:    cost.NewSparseLoad(o.sc.NumAgents()),
 	}
 	for t := range o.tasks {
-		if o.shl != nil {
-			o.refineSharded(t, w)
-		} else {
-			o.refineSingleLock(t, w)
-		}
+		o.refine(t, w)
 		t.wg.Done()
 	}
 }
@@ -375,8 +370,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 		}
 
 		// Re-evaluate the proposed state through the sparse pipeline and
-		// re-check improvement and the delay cap — the same guards the
-		// single-lock commit path applies.
+		// re-check improvement and the delay cap before the capacity commit.
 		newEval := o.ev.BeginSession(w.aw, t.session, es)
 		newLoad := es.CurLoad()
 		if newEval.Phi >= startPhi-o.cfg.ImprovementEps {
@@ -439,7 +433,7 @@ func (o *Orchestrator) refineSharded(t reoptTask, w *workerState) {
 			// the walk ran on stale residual capacities. Retry bounded.
 			o.bumpTask(&o.stats.Conflicts, &t.tally.conflicts)
 			o.telConflict(w.id, t.session)
-			if attempt < o.cfg.CommitRetries {
+			if attempt < commitRetries {
 				continue
 			}
 			o.bumpTask(&o.stats.Rejects, &t.tally.rejects)
@@ -459,219 +453,6 @@ func growAgents(buf []model.AgentID, n int) []model.AgentID {
 		return make([]model.AgentID, n)
 	}
 	return buf[:n]
-}
-
-// ---------------------------------------------------------------------------
-// Single-lock reference pipeline (Config.LedgerShards < 0)
-//
-// The pre-sharding commit path, kept verbatim: snapshot and commit both
-// serialize on o.mu, proposals validate against the dense ledger while
-// holding it. The P=1 sharded pipeline is bit-identical to this path (the
-// differential tests replay identical schedules through both); it remains
-// the before/after baseline for the shard-count benchmarks.
-
-// proposal is the outcome of one refinement walk: the session's best-seen
-// variable values and their (exact, session-local) objective.
-type proposal struct {
-	session model.SessionID
-	users   []model.UserID
-	flows   []model.Flow
-	// userTo/flowTo are the proposed agents, aligned with users/flows.
-	userTo []model.AgentID
-	flowTo []model.AgentID
-	phi    float64
-	// cfAgent/cfGap/cfValid carry the decisive hop's counterfactual-k
-	// reading (telemetry enabled only; cfAgent is -1 otherwise).
-	cfAgent int
-	cfGap   float64
-	cfValid bool
-}
-
-// refineSingleLock snapshots the live state under the commit lock, runs a
-// bounded warm-started Markov walk on the snapshot, and merges the best
-// state found.
-func (o *Orchestrator) refineSingleLock(t reoptTask, w *workerState) {
-	scr := w.scr
-	var probe *taskProbe
-	var t0 time.Time
-	if o.tel != nil {
-		probe = o.beginTaskProbe(w)
-		defer o.finishTaskProbe(t, w, probe)
-		t0 = time.Now()
-	}
-	// Snapshot under the commit lock: clone the assignment and ledger so
-	// the walk runs without blocking other workers or the event loop.
-	o.mu.Lock()
-	if !o.cache.Active(t.session) {
-		o.mu.Unlock()
-		return
-	}
-	a := o.a.Clone()
-	ledger := o.dense.Clone()
-	startPhi := o.cache.SessionObjective(o.a, t.session)
-	o.mu.Unlock()
-	if probe != nil {
-		now := time.Now()
-		probe.snapshotNs += now.Sub(t0).Nanoseconds()
-		t0 = now
-	}
-
-	users := o.sc.Session(t.session).Users
-	flows := a.SessionFlows(t.session)
-	prop := proposal{
-		session: t.session,
-		users:   users,
-		flows:   flows,
-		userTo:  make([]model.AgentID, len(users)),
-		flowTo:  make([]model.AgentID, len(flows)),
-		phi:     startPhi,
-		cfAgent: -1,
-	}
-	capture := func() {
-		for i, u := range users {
-			prop.userTo[i] = a.UserAgent(u)
-		}
-		for i, f := range flows {
-			prop.flowTo[i], _ = a.FlowAgent(f)
-		}
-	}
-	capture()
-
-	// Bounded refinement: walk the chain from the warm start, remembering
-	// the best session-local objective seen.
-	rng := rand.New(rand.NewSource(t.seed))
-	improved := false
-	for i := 0; i < o.cfg.HopBudget; i++ {
-		res, err := core.HopSessionWith(a, t.session, o.ev, ledger, o.cfg.Core, rng, scr)
-		if err != nil {
-			o.reportErr(err)
-			return
-		}
-		if !res.Moved {
-			break // no feasible neighbor: the walk is stuck
-		}
-		if res.PhiAfter < prop.phi-o.cfg.ImprovementEps {
-			prop.phi = res.PhiAfter
-			capture()
-			improved = true
-			if probe != nil {
-				prop.cfAgent = int(res.Decision.To)
-				if !math.IsInf(res.PhiSecond, 1) {
-					prop.cfGap = res.PhiSecond - res.PhiAfter
-					prop.cfValid = true
-				} else {
-					prop.cfGap, prop.cfValid = 0, false
-				}
-			}
-		}
-	}
-	if probe != nil {
-		now := time.Now()
-		probe.walkNs += now.Sub(t0).Nanoseconds()
-		probe.commitStart = now
-	}
-	if !improved {
-		o.bumpTask(&o.stats.NoChange, &t.tally.noChange)
-		o.telOutcome(w.id, t.session, telemetry.OutcomeNoChange)
-		return
-	}
-	o.commitSingleLock(t, w.id, prop)
-}
-
-// commitSingleLock merges a proposal under the commit lock with optimistic
-// validation: the session must still be active, the net decisions must
-// still fit capacity and the delay cap against the *current* ledger, and
-// the objective must still strictly improve. Accepted decisions are
-// mirrored to the data plane as dual-feed migrations.
-func (o *Orchestrator) commitSingleLock(t reoptTask, wid int, p proposal) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if !o.cache.Active(p.session) {
-		o.stats.Rejects++ // departed while refining
-		t.tally.rejects++
-		o.telOutcome(wid, p.session, telemetry.OutcomeReject)
-		return
-	}
-	curPhi := o.cache.SessionObjective(o.a, p.session)
-	if p.phi >= curPhi-o.cfg.ImprovementEps {
-		o.stats.NoChange++
-		t.tally.noChange++
-		o.telOutcome(wid, p.session, telemetry.OutcomeNoChange)
-		return
-	}
-
-	// Net decisions: one per variable that differs from the live state.
-	var ds []assign.Decision
-	for i, u := range p.users {
-		if o.a.UserAgent(u) != p.userTo[i] {
-			ds = append(ds, assign.Decision{Kind: assign.UserMove, User: u, To: p.userTo[i]})
-		}
-	}
-	for i, f := range p.flows {
-		if cur, _ := o.a.FlowAgent(f); cur != p.flowTo[i] {
-			ds = append(ds, assign.Decision{Kind: assign.FlowMove, Flow: f, To: p.flowTo[i]})
-		}
-	}
-	if len(ds) == 0 {
-		o.stats.NoChange++
-		t.tally.noChange++
-		o.telOutcome(wid, p.session, telemetry.OutcomeNoChange)
-		return
-	}
-
-	curLoad := o.cache.SessionLoad(o.a, p.session)
-	o.dense.RemoveSparse(curLoad)
-	invs := make([]assign.Decision, 0, len(ds))
-	rollback := func() {
-		for i := len(invs) - 1; i >= 0; i-- {
-			o.a.Apply(invs[i])
-		}
-		o.dense.AddSparse(curLoad)
-		o.stats.Rejects++
-		t.tally.rejects++
-		o.telOutcome(wid, p.session, telemetry.OutcomeReject)
-	}
-	for _, d := range ds {
-		inv, err := o.a.Apply(d)
-		if err != nil {
-			rollback()
-			o.refErr = err
-			return
-		}
-		invs = append(invs, inv)
-	}
-	// Re-evaluate the proposed state through the commit scratch: sparse
-	// load, delta capacity check, and Φ with delay feasibility in one pass.
-	newEval := o.ev.BeginSession(o.a, p.session, o.scr)
-	newLoad := o.scr.CurLoad()
-	if !o.dense.FitsRepairDelta(newLoad, curLoad) ||
-		!newEval.DelayFeasible(o.sc.DMaxMS) ||
-		newEval.Phi >= curPhi-o.cfg.ImprovementEps {
-		rollback()
-		return
-	}
-	o.dense.AddSparse(newLoad)
-	o.cache.Invalidate(p.session)
-	o.touchIdx[p.session] = newLoad.AppendAgents(nil)
-	o.stats.Commits++
-	t.tally.commits++
-	if t.tally.chosenAgent < 0 && p.cfAgent >= 0 {
-		t.tally.chosenAgent = p.cfAgent
-		if p.cfValid {
-			t.tally.cfGap = p.cfGap
-			t.tally.cfValid = true
-		}
-	}
-	o.telOutcome(wid, p.session, telemetry.OutcomeCommit)
-	if o.rt != nil {
-		for _, d := range ds {
-			if err := o.rt.Migrate(o.now, d); err != nil {
-				o.refErr = err
-				return
-			}
-		}
-		o.stats.Migrations += len(ds)
-	}
 }
 
 func (o *Orchestrator) reportErr(err error) {

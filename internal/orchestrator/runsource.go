@@ -9,7 +9,7 @@ package orchestrator
 // eager Run([]Event) is a thin adapter over it, so the differential tests
 // in runsource_test.go pin that lazy and eager inputs produce the same
 // assignments, objective bits, Stats counters and decision-record stream
-// across the serial, single-lock and pipelined paths.
+// across the serial and pipelined paths and the single-lock test reference.
 
 import (
 	"fmt"

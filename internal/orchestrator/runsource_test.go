@@ -113,7 +113,7 @@ func TestRunSourceDifferentialAllPaths(t *testing.T) {
 		reports []EventReport
 		records []telemetry.DecisionRecord
 	}
-	run := func(cfg Config, lazy bool) result {
+	run := func(cfg Config, ref func(*Orchestrator), lazy bool) result {
 		ev, boot, _ := chaosStack(t, fc)
 		cfg.Telemetry = telemetry.New(telemetry.Config{Workers: cfg.Shards, TraceCapacity: len(events) + 8})
 		o, err := New(ev, boot, cfg)
@@ -121,6 +121,9 @@ func TestRunSourceDifferentialAllPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer o.Close()
+		if ref != nil {
+			ref(o)
+		}
 		var reports []EventReport
 		if lazy {
 			err = o.RunSource(chaosEngine(t, ccfg, fcfg), 1e18, func(rep EventReport) error {
@@ -143,22 +146,23 @@ func TestRunSourceDifferentialAllPaths(t *testing.T) {
 	paths := []struct {
 		name string
 		tune func(cfg *Config)
+		ref  func(*Orchestrator)
 	}{
-		{"serial", func(cfg *Config) {}},
-		{"single-lock", func(cfg *Config) { cfg.LedgerShards = -1 }},
+		{"serial", func(cfg *Config) {}, nil},
+		{"single-lock", func(cfg *Config) {}, useSingleLock},
 		{"pipelined", func(cfg *Config) {
 			cfg.Pipeline = true
 			cfg.MaxInFlight = 1
-		}},
+		}, nil},
 	}
 	for _, tc := range paths {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := chaosConfig(61, fc)
 			tc.tune(&cfg)
-			eager := run(cfg, false)
+			eager := run(cfg, tc.ref, false)
 			cfg = chaosConfig(61, fc)
 			tc.tune(&cfg)
-			lazy := run(cfg, true)
+			lazy := run(cfg, tc.ref, true)
 
 			if lazy.enc != eager.enc {
 				t.Fatal("final assignment diverged between eager Run and lazy RunSource")

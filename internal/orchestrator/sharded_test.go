@@ -12,8 +12,10 @@ import (
 )
 
 // runSchedule drives one fresh orchestrator over a schedule and returns the
-// final assignment encoding, objective and stats.
-func runSchedule(t *testing.T, wl workload.Config, events []workload.Event, cfg Config) (string, float64, Stats) {
+// final assignment encoding, objective and stats. refs (useSingleLock,
+// useRebuild) switch the orchestrator onto reference paths first.
+func runSchedule(t *testing.T, wl workload.Config, events []workload.Event, cfg Config,
+	refs ...func(*Orchestrator)) (string, float64, Stats) {
 	t.Helper()
 	ev, boot := testStack(t, wl)
 	o, err := New(ev, boot, cfg)
@@ -21,6 +23,9 @@ func runSchedule(t *testing.T, wl workload.Config, events []workload.Event, cfg 
 		t.Fatal(err)
 	}
 	defer o.Close()
+	for _, ref := range refs {
+		ref(o)
+	}
 	if _, err := o.Run(events, 1e18); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +52,7 @@ func coreStats(s Stats) Stats {
 }
 
 // TestShardedBitIdenticalToSingleLock replays identical churn schedules
-// through the legacy single-lock commit path (LedgerShards = -1) and the
+// through the single-lock reference commit path (useSingleLock) and the
 // sharded pipeline at P = 1, with one worker so task order is fully
 // deterministic even under finite capacities: final assignment, objective
 // bits and every activity counter must match exactly.
@@ -75,17 +80,12 @@ func TestShardedBitIdenticalToSingleLock(t *testing.T) {
 			ev, _ := testStack(t, tc.wl())
 			events := churn(t, ev, 13, 300, 0.1, 90)
 
-			legacy := DefaultConfig(13)
-			legacy.Shards = 1
-			legacy.LedgerShards = -1
-			legacy.Core.NeighborWindow = tc.window
-			encL, phiL, stL := runSchedule(t, tc.wl(), events, legacy)
-
-			sharded := DefaultConfig(13)
-			sharded.Shards = 1
-			sharded.LedgerShards = 1
-			sharded.Core.NeighborWindow = tc.window
-			encS, phiS, stS := runSchedule(t, tc.wl(), events, sharded)
+			cfg := DefaultConfig(13)
+			cfg.Shards = 1
+			cfg.LedgerShards = 1
+			cfg.Core.NeighborWindow = tc.window
+			encL, phiL, stL := runSchedule(t, tc.wl(), events, cfg, useSingleLock)
+			encS, phiS, stS := runSchedule(t, tc.wl(), events, cfg)
 
 			if encL != encS {
 				t.Fatal("single-lock and P=1 sharded paths diverged in the final assignment")
@@ -114,8 +114,7 @@ func TestShardedShardCountInvariant(t *testing.T) {
 
 	legacy := DefaultConfig(21)
 	legacy.Shards = 4
-	legacy.LedgerShards = -1
-	encWant, phiWant, stWant := runSchedule(t, wl(), events, legacy)
+	encWant, phiWant, stWant := runSchedule(t, wl(), events, legacy, useSingleLock)
 
 	for _, shards := range []int{1, 2, 6} {
 		cfg := DefaultConfig(21)

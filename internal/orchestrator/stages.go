@@ -247,7 +247,12 @@ func (st *eventState) retire() {
 	if st.rep.Latency > o.stats.ReoptMax {
 		o.stats.ReoptMax = st.rep.Latency
 	}
-	o.lat.ObserveDuration(st.rep.Latency)
+	// Only events that dispatched re-optimization tasks have a barrier
+	// latency; skipped departures, drops and task-free events would pin the
+	// percentiles at 0. The sink's latency histogram applies the same rule.
+	if len(st.rep.Reopt) > 0 {
+		o.lat.ObserveDuration(st.rep.Latency)
+	}
 	st.rep.Commits = st.tally.commits
 	st.rep.Rejects = st.tally.rejects
 	st.rep.NoChange = st.tally.noChange

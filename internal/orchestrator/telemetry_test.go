@@ -15,6 +15,9 @@ type recordSums struct {
 	events, arrives, departs              int
 	commits, rejects, noChange, conflicts int
 	stalls, notAdmitted, invalidated      int
+	// dispatched counts events that dispatched ≥1 re-optimization task:
+	// the only ones the latency histograms observe.
+	dispatched int
 }
 
 func foldRecords(recs []telemetry.DecisionRecord) recordSums {
@@ -38,6 +41,9 @@ func foldRecords(recs []telemetry.DecisionRecord) recordSums {
 			rs.notAdmitted++
 		}
 		rs.invalidated += r.CacheInvalidated
+		if r.Reopt > 0 {
+			rs.dispatched++
+		}
 	}
 	return rs
 }
@@ -75,10 +81,19 @@ func reconcile(t *testing.T, o *Orchestrator, sink *telemetry.Sink, nEvents int)
 	// Registry counters (worker-side, sharded) must merge to the same
 	// totals as both views above.
 	counters := map[string]int64{}
+	var latCount int64
 	for _, m := range sink.Registry().Snapshot() {
 		if m.Type == "counter" {
 			counters[m.Name] += int64(m.Value)
 		}
+		if m.Name == "vconf_reopt_latency_ns" {
+			latCount += m.Count
+		}
+	}
+	// Both latency histograms observe exactly the task-dispatching events.
+	if latCount != int64(rs.dispatched) || o.lat.Count() != int64(rs.dispatched) {
+		t.Fatalf("latency observations: registry %d, Stats histogram %d, dispatching records %d",
+			latCount, o.lat.Count(), rs.dispatched)
 	}
 	if counters["vconf_commits_total"] != int64(st.Commits) {
 		t.Fatalf("registry commits %d, Stats %d", counters["vconf_commits_total"], st.Commits)
@@ -141,13 +156,13 @@ func TestTelemetryReconciliationSingleLock(t *testing.T) {
 	sink := telemetry.New(telemetry.Config{Workers: 4, TraceCapacity: len(events) + 8})
 	cfg := DefaultConfig(12)
 	cfg.Shards = 4
-	cfg.LedgerShards = -1 // legacy single-lock commit path
 	cfg.Telemetry = sink
 	o, err := New(ev, boot, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer o.Close()
+	useSingleLock(o)
 	if _, err := o.Run(events, 300); err != nil {
 		t.Fatal(err)
 	}
@@ -422,5 +437,51 @@ func TestTelemetryClassLabels(t *testing.T) {
 	}
 	if fairness <= 0 || fairness > 1 {
 		t.Fatalf("Jain fairness = %v, want (0, 1]", fairness)
+	}
+}
+
+// TestReoptPercentilesSkipTaskFreeEvents pins that only events which
+// dispatched re-optimization tasks enter the latency percentiles: one
+// admitted arrival plus three skipped departure echoes (sessions that were
+// never live) must report the arrival's latency as the median, not 0.
+func TestReoptPercentilesSkipTaskFreeEvents(t *testing.T) {
+	ev, boot := testStack(t, workload.Prototype(16))
+	sink := telemetry.New(telemetry.Config{Workers: 1})
+	cfg := DefaultConfig(16)
+	cfg.Shards = 1
+	cfg.Telemetry = sink
+	o, err := New(ev, boot, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	events := []workload.Event{
+		{TimeS: 1, Kind: workload.EventArrival, Session: 0},
+		{TimeS: 2, Kind: workload.EventDeparture, Session: 1},
+		{TimeS: 3, Kind: workload.EventDeparture, Session: 2},
+		{TimeS: 4, Kind: workload.EventDeparture, Session: 3},
+	}
+	reps, err := o.Run(events, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reps[0].Admitted || len(reps[0].Reopt) == 0 {
+		t.Fatalf("arrival not admitted or dispatched no task: %+v", reps[0])
+	}
+	st := o.Stats()
+	if st.Skipped != 3 {
+		t.Fatalf("skipped departures = %d, want 3", st.Skipped)
+	}
+	if st.ReoptP50 <= 0 || st.ReoptP99 < st.ReoptP50 {
+		t.Fatalf("percentiles p50 %v p99 %v, want the arrival's latency", st.ReoptP50, st.ReoptP99)
+	}
+	var latCount int64
+	for _, m := range sink.Registry().Snapshot() {
+		if m.Name == "vconf_reopt_latency_ns" {
+			latCount += m.Count
+		}
+	}
+	if latCount != 1 {
+		t.Fatalf("registry latency histogram holds %d observations, want 1", latCount)
 	}
 }

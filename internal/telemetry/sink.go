@@ -225,7 +225,7 @@ func New(cfg Config) *Sink {
 			s.rejects[i] = s.reg.Counter("vconf_rejects_total", "re-optimization proposals rejected at commit validation", lbls...)
 			s.noChange[i] = s.reg.Counter("vconf_nochange_total", "re-optimization walks that found no improvement", lbls...)
 			s.conflicts[i] = s.reg.Counter("vconf_conflicts_total", "commit attempts that lost a cross-shard race", lbls...)
-			s.reoptLat[i] = s.reg.Histogram("vconf_reopt_latency_ns", "per-event re-optimization barrier latency (ns)", lbls...)
+			s.reoptLat[i] = s.reg.Histogram("vconf_reopt_latency_ns", "per-event re-optimization barrier latency (ns), events that dispatched at least one task", lbls...)
 		}
 	}
 	for r := 0; r < regions; r++ {
@@ -593,7 +593,11 @@ func (s *Sink) Record(rec DecisionRecord) {
 	if rec.CacheInvalidated > 0 {
 		s.invalidations.Add(sh, int64(rec.CacheInvalidated))
 	}
-	s.reoptLat[s.crIndex(class, rec.Region)].Observe(rec.LatencyNs)
+	// Same rule as the orchestrator's Stats percentiles: only events that
+	// dispatched re-optimization tasks have a barrier latency to observe.
+	if rec.Reopt > 0 {
+		s.reoptLat[s.crIndex(class, rec.Region)].Observe(rec.LatencyNs)
+	}
 	s.objective.Set(rec.Objective)
 	s.active.Set(float64(rec.ActiveSessions))
 	if s.rec.Append(rec) {
